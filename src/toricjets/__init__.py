@@ -12,16 +12,13 @@ exhaustive finite-field enumeration.
 from .components import (
     ComponentClass,
     ComponentReport,
-    S1Count,
     codimension,
     component_report,
     count_closed_form,
     dimension,
     enumerate_classes,
-    index_of_speciality,
     m_cap,
     report_as_dict,
-    s1_count,
     valid_labels,
 )
 from .equations import BinomialEquation, generators, grading_check
@@ -94,7 +91,6 @@ __all__ = [
     "NonMemberError",
     "OracleConfig",
     "RATIONALS",
-    "S1Count",
     "StratumStats",
     "ToricJetsError",
     "ToricSurface",
@@ -120,14 +116,12 @@ __all__ = [
     "grading_check",
     "hj_evaluate",
     "hj_expand",
-    "index_of_speciality",
     "is_member",
     "m_cap",
     "monomial_arc",
     "prime_field",
     "report_as_dict",
     "required_budget",
-    "s1_count",
     "stratum_counts",
     "truncate",
     "valid_labels",

@@ -3,8 +3,9 @@
 analyze classifies the jet fiber components of one surface at one level;
 verify drives the symbolic invariant suite and the finite-field oracle;
 witness produces an explicit arc realizing a prescribed contact label.
-Output formats: json (canonical: sorted keys, two-space indent), md
-(default), csv (fixed header per subcommand).
+Each command builds one document, printed in one of three formats: json
+(canonical: sorted keys, two-space indent), md (default), csv (fixed header
+per subcommand); md and csv are rendered from the document alone.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or validation error,
 3 enumeration guard exceeded.
@@ -19,7 +20,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .components import (
     component_report,
@@ -40,7 +40,6 @@ from .jets import ABOVE_M, contact_profile, monomial_arc
 from .lattice import (
     ToricSurface,
     contact_vector,
-    exceptional_count_dual_cf,
     exceptional_count_hull,
 )
 from .oracle import (
@@ -69,43 +68,12 @@ def _canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _coeff_json(c, field):
-    if field.characteristic:
-        return int(c)
-    f = Fraction(c)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _coeff_str(c, field) -> str:
-    if field.characteristic:
-        return str(int(c) % field.characteristic)
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _order_json(o):
     return "above_m" if o is ABOVE_M else o
 
 
-def _jet_json(jet) -> dict:
-    return {
-        "m": jet.m,
-        "characteristic": jet.field.characteristic,
-        "coords": [[_coeff_json(c, jet.field) for c in row] for row in jet.coords],
-    }
-
-
-def _series_str(row, field) -> str:
-    terms = []
-    for d, c in enumerate(row):
-        if field.is_zero(c):
-            continue
-        if d == 0:
-            terms.append(_coeff_str(c, field))
-            continue
-        t = "t" if d == 1 else f"t^{d}"
-        terms.append(t if c == field.one else f"{_coeff_str(c, field)}*{t}")
-    return " + ".join(terms) if terms else "0"
+def _yes_no(flag) -> str:
+    return "yes" if flag else "no"
 
 
 def _mono_str(exponents) -> str:
@@ -131,9 +99,9 @@ def _csv_text(header, rows) -> str:
 # ---------------------------------------------------------------- analyze
 
 
-def _analyze_doc(surface: ToricSurface, m: int) -> dict:
-    report = component_report(surface, m)
-    dual_cf = exceptional_count_dual_cf(surface.cone)
+def _analyze_doc(surface: ToricSurface, args) -> dict:
+    report = component_report(surface, args.m)
+    dual_cf = report.exceptional_count
     hull = exceptional_count_hull(surface.cone)
     return {
         "surface": {
@@ -163,7 +131,7 @@ def _analyze_md(doc: dict) -> str:
         f"- embedding dimension e: {surf['e']}",
         "- dual basis: " + ", ".join(f"({u[0]}, {u[1]})" for u in surf["dual_basis"]),
         f"- exceptional divisors: dual_cf={exc['dual_cf']} hull={exc['hull']} "
-        f"agree={'yes' if exc['agree'] else 'no'}",
+        f"agree={_yes_no(exc['agree'])}",
         "",
         "## Defining equations",
         "",
@@ -215,30 +183,22 @@ def _analyze_csv(doc: dict) -> str:
     )
 
 
-def cmd_analyze(args) -> int:
-    if args.m < 1:
-        raise InputRangeError(f"m must be >= 1, got {args.m}")
-    surface = ToricSurface.from_pair(args.p, args.q)
-    doc = _analyze_doc(surface, args.m)
-    if args.format == "json":
-        print(_canonical_json(doc))
-    elif args.format == "csv":
-        print(_analyze_csv(doc))
-    else:
-        print(_analyze_md(doc))
-    return 0
-
-
 # ---------------------------------------------------------------- verify
 
 
-def _run_verify(surface: ToricSurface, m: int, field: int, guard: int, jobs: int):
-    """All verification checks for one surface.  Returns (checks, strata,
-    coverage, points_visited); checks are (name, ok, hard, detail) tuples."""
+def _verify_doc(surface: ToricSurface, args) -> dict:
+    """Every verification check for one surface; exit status follows "result"."""
+    m, field, guard, jobs = args.m, args.field, args.guard, args.jobs
+    t0 = time.monotonic()
     checks = []
+
+    def check(name, ok, detail, hard=True):
+        status = "pass" if ok else ("fail" if hard else "warn")
+        checks.append({"name": name, "status": status, "hard": hard, "detail": detail})
+
     eqs = generators(surface)
     ok = all(grading_check(surface, eq) for eq in eqs)
-    checks.append(("grading", ok, True, f"{len(eqs)} generators checked"))
+    check("grading", ok, f"{len(eqs)} generators checked")
 
     labels = valid_labels(surface, m)
     witness_ok = True
@@ -252,19 +212,14 @@ def _run_verify(surface: ToricSurface, m: int, field: int, guard: int, jobs: int
             continue
         if not inside or not over or profile[i - 1] != s or profile[i] != l:
             witness_ok = False
-    checks.append(
-        ("monomial_arc_witnesses", witness_ok, True, f"{len(labels)} labels realized")
-    )
+    check("monomial_arc_witnesses", witness_ok, f"{len(labels)} labels realized")
 
     n_enum = len(enumerate_classes(surface, m))
     n_formula = count_closed_form(surface, m)
-    checks.append(
-        (
-            "count_agreement",
-            n_enum == n_formula,
-            True,
-            f"enumerated={n_enum} closed_form={n_formula}",
-        )
+    check(
+        "count_agreement",
+        n_enum == n_formula,
+        f"enumerated={n_enum} closed_form={n_formula}",
     )
 
     visited = 0
@@ -275,200 +230,165 @@ def _run_verify(surface: ToricSurface, m: int, field: int, guard: int, jobs: int
         sub = OracleConfig(field, 2 * s - 1, guard)
         ok = check_order_propagation(surface, sub, s, jobs=jobs)
         visited += field ** (surface.e * 2 * s)
-        checks.append(
-            (f"order_propagation_s{s}", ok, True, f"full space at m={2 * s - 1}")
-        )
+        check(f"order_propagation_s{s}", ok, f"full space at m={2 * s - 1}")
 
     strata = stratum_counts(surface, config, points=fiber)
-    checks.append(
-        (
-            "stratum_nonempty",
-            all(st.point_count >= 1 for st in strata),
-            True,
-            f"{len(strata)} strata",
-        )
+    check(
+        "stratum_nonempty",
+        all(st.point_count >= 1 for st in strata),
+        f"{len(strata)} strata",
     )
-    checks.append(
-        (
-            "stratum_min_order",
-            all(st.all_orders_ge_s and st.min_order_is_s for st in strata),
-            True,
-            "minimum coordinate order equals s on every stratum point",
-        )
+    check(
+        "stratum_min_order",
+        all(st.all_orders_ge_s and st.min_order_is_s for st in strata),
+        "minimum coordinate order equals s on every stratum point",
     )
     coverage = coverage_spot_check(surface, config, points=fiber)
-    checks.append(
-        (
-            "stratum_disjoint",
-            coverage.disjoint,
-            True,
-            "strata at fixed i are pairwise disjoint",
-        )
-    )
-    checks.append(
-        (
-            "no_impossible_profiles",
-            not coverage.impossible_profiles,
-            True,
-            f"{len(coverage.impossible_profiles)} flagged, "
-            f"{coverage.closure_points} closure points",
-        )
-    )
-    return checks, strata, coverage, visited
-
-
-def cmd_verify(args) -> int:
-    if args.m < 1:
-        raise InputRangeError(f"m must be >= 1, got {args.m}")
-    guard = args.guard if args.guard is not None else _default_guard()
-    surface = ToricSurface.from_pair(args.p, args.q)
-    t0 = time.monotonic()
-    checks, strata, coverage, visited = _run_verify(
-        surface, args.m, args.field, guard, args.jobs
+    check("stratum_disjoint", coverage.disjoint, "strata at fixed i are pairwise disjoint")
+    check(
+        "no_impossible_profiles",
+        not coverage.impossible_profiles,
+        f"{len(coverage.impossible_profiles)} flagged, "
+        f"{coverage.closure_points} closure points",
     )
     mismatches = sum(1 for st in strata if st.point_count != st.predicted_count)
-    checks.append(
-        (
-            "stratum_count_prediction",
-            mismatches == 0,
-            args.strict,
-            f"{len(strata) - mismatches}/{len(strata)} match (experimental)",
-        )
+    check(
+        "stratum_count_prediction",
+        mismatches == 0,
+        f"{len(strata) - mismatches}/{len(strata)} match (experimental)",
+        hard=args.strict,
     )
-    runtime_ms = int((time.monotonic() - t0) * 1000)
-    hard_fail = any(not ok for _, ok, hard, _ in checks if hard)
+    return {
+        "p": surface.p,
+        "q": surface.q,
+        "m": m,
+        "field": field,
+        "guard": guard,
+        "checks": checks,
+        "strata": [
+            {
+                "label": list(st.label),
+                "count": st.point_count,
+                "predicted": st.predicted_count,
+                "match": st.point_count == st.predicted_count,
+            }
+            for st in strata
+        ],
+        "coverage": {
+            "total": coverage.total_points,
+            "stratum": coverage.stratum_points,
+            "closure": coverage.closure_points,
+            "impossible": len(coverage.impossible_profiles),
+        },
+        "points_visited": visited,
+        "runtime_ms": int((time.monotonic() - t0) * 1000),
+        "result": "fail" if any(c["status"] == "fail" for c in checks) else "pass",
+    }
 
-    def status(ok, hard):
-        return "pass" if ok else ("fail" if hard else "warn")
 
-    if args.format == "json":
-        doc = {
-            "p": surface.p,
-            "q": surface.q,
-            "m": args.m,
-            "field": args.field,
-            "guard": guard,
-            "checks": [
-                {"name": name, "status": status(ok, hard), "hard": hard, "detail": detail}
-                for name, ok, hard, detail in checks
-            ],
-            "strata": [
-                {
-                    "label": list(st.label),
-                    "count": st.point_count,
-                    "predicted": st.predicted_count,
-                    "match": st.point_count == st.predicted_count,
-                }
-                for st in strata
-            ],
-            "coverage": {
-                "total": coverage.total_points,
-                "stratum": coverage.stratum_points,
-                "closure": coverage.closure_points,
-                "impossible": len(coverage.impossible_profiles),
-            },
-            "points_visited": visited,
-            "runtime_ms": runtime_ms,
-            "result": "fail" if hard_fail else "pass",
-        }
-        print(_canonical_json(doc))
-    elif args.format == "csv":
-        rows = [
-            [name, status(ok, hard), "yes" if hard else "no", detail]
-            for name, ok, hard, detail in checks
-        ]
-        print(_csv_text(["check", "status", "hard", "detail"], rows))
-    else:
-        lines = [f"# verify p={surface.p} q={surface.q} m={args.m} field={args.field}", ""]
-        for name, ok, hard, detail in checks:
-            tag = status(ok, hard).upper()
-            lines.append(f"- [{tag}] {name}: {detail}")
-        lines += ["", "## Strata", "", "| label | count | predicted | match |",
-                  "| - | - | - | - |"]
-        for st in strata:
-            match = "yes" if st.point_count == st.predicted_count else "no"
-            lines.append(
-                f"| {_label_str(st.label)} | {st.point_count} "
-                f"| {st.predicted_count} | {match} |"
-            )
-        lines += [
-            "",
-            f"- fiber points: {coverage.total_points} "
-            f"({coverage.stratum_points} in strata, {coverage.closure_points} closure)",
-            f"- points visited: {visited}",
-            f"- runtime: {runtime_ms} ms",
-            f"- result: {'FAIL' if hard_fail else 'PASS'}",
-        ]
-        print("\n".join(lines))
-    return 1 if hard_fail else 0
+def _verify_md(doc: dict) -> str:
+    lines = [f"# verify p={doc['p']} q={doc['q']} m={doc['m']} field={doc['field']}", ""]
+    for ch in doc["checks"]:
+        lines.append(f"- [{ch['status'].upper()}] {ch['name']}: {ch['detail']}")
+    lines += ["", "## Strata", "", "| label | count | predicted | match |",
+              "| - | - | - | - |"]
+    for st in doc["strata"]:
+        lines.append(
+            f"| {_label_str(st['label'])} | {st['count']} "
+            f"| {st['predicted']} | {_yes_no(st['match'])} |"
+        )
+    cov = doc["coverage"]
+    lines += [
+        "",
+        f"- fiber points: {cov['total']} "
+        f"({cov['stratum']} in strata, {cov['closure']} closure)",
+        f"- points visited: {doc['points_visited']}",
+        f"- runtime: {doc['runtime_ms']} ms",
+        f"- result: {doc['result'].upper()}",
+    ]
+    return "\n".join(lines)
+
+
+def _verify_csv(doc: dict) -> str:
+    rows = [
+        [ch["name"], ch["status"], _yes_no(ch["hard"]), ch["detail"]]
+        for ch in doc["checks"]
+    ]
+    return _csv_text(["check", "status", "hard", "detail"], rows)
 
 
 # ---------------------------------------------------------------- witness
 
 
-def cmd_witness(args) -> int:
-    if args.m < 1:
-        raise InputRangeError(f"m must be >= 1, got {args.m}")
-    surface = ToricSurface.from_pair(args.p, args.q)
-    i, s, l = args.i, args.s, args.l
-    cap = m_cap(surface, i, s, args.m)  # validates i and s
+def _witness_doc(surface: ToricSurface, args) -> dict:
+    m, i, s, l = args.m, args.i, args.s, args.l
+    cap = m_cap(surface, i, s, m)  # validates i and s
     if not s <= l <= cap:
         raise InputRangeError(
-            f"l={l} is outside the valid interval [{s}, {cap}] for i={i} s={s} m={args.m}"
+            f"l={l} is outside the valid interval [{s}, {cap}] for i={i} s={s} m={m}"
         )
     v, inside = contact_vector(surface, i, s, l)
-    arc = monomial_arc(surface, v, args.m)
+    arc = monomial_arc(surface, v, m)
     profile, over = contact_profile(arc, surface)
-    orders = [_order_json(o) for o in profile]
-    if args.format == "json":
-        doc = {
-            "p": surface.p,
-            "q": surface.q,
-            "m": args.m,
-            "i": i,
-            "s": s,
-            "l": l,
-            "v": list(v),
-            "inside": inside,
-            "member": True,
-            "jet": _jet_json(arc),
-            "orders": orders,
-            "realized": [_order_json(profile[i - 1]), _order_json(profile[i])],
-            "over_origin": over,
-        }
-        print(_canonical_json(doc))
-    elif args.format == "csv":
-        row = [
-            surface.p, surface.q, args.m, i, s, l, v[0], v[1],
-            "yes" if inside else "no", "yes",
-            ";".join(str(o) for o in orders),
-            _order_json(profile[i - 1]), _order_json(profile[i]),
-        ]
-        print(
-            _csv_text(
-                ["p", "q", "m", "i", "s", "l", "v1", "v2", "inside", "member",
-                 "orders", "realized_s", "realized_l"],
-                [row],
-            )
-        )
-    else:
-        coords = ", ".join(
-            f"x{k} = {_series_str(row, arc.field)}"
-            for k, row in enumerate(arc.coords, start=1)
-        )
-        lines = [
-            f"# witness p={surface.p} q={surface.q} m={args.m} label {_label_str((i, s, l))}",
-            "",
-            f"- contact vector v: ({v[0]}, {v[1]})",
-            f"- inside cone: {'yes' if inside else 'no'}",
-            f"- jet: {coords}",
-            "- member: yes",
-            "- orders: " + ", ".join(str(o) for o in orders),
-            f"- realized (s, l): ({_order_json(profile[i - 1])}, {_order_json(profile[i])})",
-            f"- over singular point: {'yes' if over else 'no'}",
-        ]
-        print("\n".join(lines))
-    return 0
+    return {
+        "p": surface.p,
+        "q": surface.q,
+        "m": m,
+        "i": i,
+        "s": s,
+        "l": l,
+        "v": list(v),
+        "inside": inside,
+        "member": True,
+        # a monomial arc over the rationals: every coefficient is 0 or 1
+        "jet": {
+            "m": arc.m,
+            "characteristic": arc.field.characteristic,
+            "coords": [[f"{c}/1" for c in row] for row in arc.coords],
+        },
+        "orders": [_order_json(o) for o in profile],
+        "realized": [_order_json(profile[i - 1]), _order_json(profile[i])],
+        "over_origin": over,
+    }
+
+
+def _power_str(d) -> str:
+    """Coordinate t^d of a monomial arc; an order above m truncates to 0."""
+    if d == "above_m":
+        return "0"
+    return "t" if d == 1 else f"t^{d}"
+
+
+def _witness_md(doc: dict) -> str:
+    coords = ", ".join(
+        f"x{k} = {_power_str(d)}" for k, d in enumerate(doc["orders"], start=1)
+    )
+    label = (doc["i"], doc["s"], doc["l"])
+    return "\n".join([
+        f"# witness p={doc['p']} q={doc['q']} m={doc['m']} label {_label_str(label)}",
+        "",
+        f"- contact vector v: ({doc['v'][0]}, {doc['v'][1]})",
+        f"- inside cone: {_yes_no(doc['inside'])}",
+        f"- jet: {coords}",
+        "- member: yes",
+        "- orders: " + ", ".join(str(o) for o in doc["orders"]),
+        f"- realized (s, l): ({doc['realized'][0]}, {doc['realized'][1]})",
+        f"- over singular point: {_yes_no(doc['over_origin'])}",
+    ])
+
+
+def _witness_csv(doc: dict) -> str:
+    row = [
+        doc["p"], doc["q"], doc["m"], doc["i"], doc["s"], doc["l"], *doc["v"],
+        _yes_no(doc["inside"]), "yes",
+        ";".join(str(o) for o in doc["orders"]),
+        *doc["realized"],
+    ]
+    return _csv_text(
+        ["p", "q", "m", "i", "s", "l", "v1", "v2", "inside", "member",
+         "orders", "realized_s", "realized_l"],
+        [row],
+    )
 
 
 # ---------------------------------------------------------------- driver
@@ -491,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="classify the jet fiber components at level m")
     add_common(sp)
-    sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("verify", help="run the invariant suite and the finite-field oracle")
     add_common(sp)
@@ -508,27 +427,42 @@ def _build_parser() -> argparse.ArgumentParser:
         help="treat experimental count mismatches as hard failures",
     )
     sp.add_argument("--jobs", type=int, default=1, help="worker processes for enumeration")
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("witness", help="produce the arc realizing a contact label (i, s, l)")
     add_common(sp)
     sp.add_argument("--i", type=int, required=True, help="coordinate index, 2..e-1")
     sp.add_argument("--s", type=int, required=True, help="contact order of x_i")
     sp.add_argument("--l", type=int, required=True, help="contact order of x_{i+1}")
-    sp.set_defaults(func=cmd_witness)
     return parser
+
+
+# command -> (document builder, md renderer, csv renderer); json is canonical
+COMMANDS = {
+    "analyze": (_analyze_doc, _analyze_md, _analyze_csv),
+    "verify": (_verify_doc, _verify_md, _verify_csv),
+    "witness": (_witness_doc, _witness_md, _witness_csv),
+}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    build, render_md, render_csv = COMMANDS[args.command]
     try:
-        return args.func(args)
+        # m, then the guard environment, then the pair: the first bad input is reported
+        if args.m < 1:
+            raise InputRangeError(f"m must be >= 1, got {args.m}")
+        if "guard" in args and args.guard is None:
+            args.guard = _default_guard()
+        doc = build(ToricSurface.from_pair(args.p, args.q), args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ToricJetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    render = {"json": _canonical_json, "md": render_md, "csv": render_csv}[args.format]
+    print(render(doc))
+    return 1 if doc.get("result") == "fail" else 0
 
 
 if __name__ == "__main__":

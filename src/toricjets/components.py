@@ -3,9 +3,9 @@
 Components at level m carry labels (i, s, l): the index i of a distinguished
 pair of adjacent coordinates, the common order s = ord x_i, and the order
 l = ord x_{i+1}, constrained by s <= l <= m_i^s.  Certain labels describe
-the same component; a union-find applies those identifications and the
-surviving classes are counted, measured, and compared against a closed-form
-count that never enumerates anything.
+the same component; applying those identifications leaves classes that are
+counted, measured, and compared against a closed-form count that never
+enumerates anything.
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ class ComponentClass(NamedTuple):
     s: int
     codim: int
     dim: int
-
-
-class S1Count(NamedTuple):
-    """Number of speciality-1 classes, and whether m >= max c_i holds."""
-
-    count: int
-    hypothesis_met: bool
 
 
 def m_cap(surface: ToricSurface, i: int, s: int, m: int) -> int:
@@ -78,53 +71,32 @@ def enumerate_classes(surface: ToricSurface, m: int) -> list[ComponentClass]:
     """All component classes at level m, identifications applied, sorted.
 
     Label (i, s, s) is glued to (i+1, s, m_{i+1}^s) for every i in 2..e-2.
-    A union-find absorbs the chains that appear when caps collapse to s, so
-    no assumption is made about how many gluings are effective.  Classes come
-    out sorted by (s, canonical), the canonical label being the least member
-    under (s, i, l).
+    Gluings only link adjacent indices, so each class is a run of consecutive
+    indices, scanned in one pass over i per s: the run through (i, s, s)
+    takes in (i+1, s, m_{i+1}^s), and goes on past i+1 exactly when that cap
+    collapses to s.  Classes come out sorted by (s, canonical), the canonical
+    label being the least member under (s, i, l).
     """
     if m < 1:
         raise InputRangeError(f"jet level must be >= 1, got {m}")
-    e = surface.e
-    entries = surface.entries
     out: list[ComponentClass] = []
     for s in range(1, (m + 1) // 2 + 1):
-        caps = [min((c - 1) * s, m + 1 - s) for c in entries]  # index i-2 for c_i
-        codim = s * e + (m - (2 * s - 1)) * (e - 2)
-        dim = e * (m + 1) - codim
-
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-        def find(x: tuple[int, int]) -> tuple[int, int]:
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        for i in range(2, e - 1):
-            a = find((i, s))
-            b = find((i + 1, caps[i - 1]))
-            if a != b:
-                parent[a] = b
-
-        groups: dict[tuple[int, int], list[Label]] = {}
-        slice_classes: list[ComponentClass] = []
-        for i in range(2, e):
-            cap = caps[i - 2]
-            for l in range(s, cap + 1):
-                # only endpoints of gluing edges can be in a nontrivial class
-                if (l == s and i <= e - 2) or (l == cap and i >= 3):
-                    groups.setdefault(find((i, l)), []).append((i, s, l))
-                else:
-                    label = (i, s, l)
-                    slice_classes.append(ComponentClass(label, (label,), s, codim, dim))
-        for labels in groups.values():
-            labels.sort()
-            slice_classes.append(ComponentClass(labels[0], tuple(labels), s, codim, dim))
-        slice_classes.sort(key=lambda cl: (cl.canonical[0], cl.canonical[2]))
-        out.extend(slice_classes)
+        codim = codimension(surface, s, m)
+        dim = dimension(surface, s, m)
+        groups: list[list[Label]] = []
+        run: list[Label] | None = None  # the class of (i-1, s, s)
+        for i in range(2, surface.e):
+            cap = m_cap(surface, i, s, m)
+            top = cap
+            if run is not None:
+                run.append((i, s, cap))
+                if cap == s:
+                    continue  # (i, s, s) itself joined, so the run goes on
+                top = cap - 1
+            run = [(i, s, s)]
+            groups.append(run)
+            groups.extend([(i, s, l)] for l in range(s + 1, top + 1))
+        out.extend(ComponentClass(g[0], tuple(g), s, codim, dim) for g in groups)
     return out
 
 
@@ -150,23 +122,6 @@ def count_closed_form(surface: ToricSurface, m: int) -> int:
             n = s * c - (2 * s - 1) if s <= qc else m - (2 * s - 2)
             total += n if pos == 0 else n - 1
     return total
-
-
-def s1_count(surface: ToricSurface, m: int) -> S1Count:
-    """Number of classes with speciality 1, plus whether m >= max c_i.
-
-    At or above that threshold the count equals the number of exceptional
-    divisors on the minimal resolution; below it the count is still returned
-    but the correspondence is not promised.
-    """
-    classes = enumerate_classes(surface, m)
-    count = sum(1 for cl in classes if cl.s == 1)
-    return S1Count(count, m >= max(surface.entries))
-
-
-def index_of_speciality(component: ComponentClass) -> int:
-    """The shared s of the class: the t-order of the maximal ideal along it."""
-    return component.s
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ the boolean lemma checks are hard.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -130,7 +131,8 @@ def _member_coords_star(args):
 def _enumerate_members(
     surface: ToricSurface, config: OracleConfig, fix_origin: bool, jobs: int = 1
 ) -> list[TruncatedJet]:
-    """All member jets, odometer order, optionally chunked across processes.
+    """All member jets, odometer order, optionally chunked across processes
+    (at most one per CPU).
 
     Chunks partition the space by leading digits; concatenating their results
     in prefix order reproduces the sequential order exactly, so parallel runs
@@ -141,6 +143,7 @@ def _enumerate_members(
     m = config.m
     per = m if fix_origin else m + 1
     total_digits = surface.e * per
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total_digits == 0:
         coords = _member_coords(
             surface.p, surface.q, char, m, fix_origin, (), total_digits

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,46 @@ from toricjets.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# (golden file, argv): every rendering of every command, pinned whole
+GOLDEN_OUTPUTS = [
+    *(
+        (f"analyze_p{p}_q{q}_m{m}.{fmt}",
+         ["analyze", "--p", str(p), "--q", str(q), "--m", str(m), "--format", fmt])
+        for p, q, m in [(2, 3, 5), (3, 5, 4), (5, 7, 3)]
+        for fmt in ("md", "csv")
+    ),
+    *(
+        (f"witness_p3_q5_m{m}_i3_s1_l{l}.{fmt}",
+         ["witness", "--p", "3", "--q", "5", "--m", str(m),
+          "--i", "3", "--s", "1", "--l", str(l), "--format", fmt])
+        for m, l in [(4, 2), (2, 1)]  # m=2: x1 has order 3, censored as above_m
+        for fmt in ("json", "md", "csv")
+    ),
+    *(
+        (f"verify_p2_q3_m1_f3.{fmt}",
+         ["verify", "--p", "2", "--q", "3", "--m", "1", "--field", "3", "--format", fmt])
+        for fmt in ("json", "md", "csv")
+    ),
+]
+
 
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _without_runtime(out):
+    """verify output with its wall-clock readings zeroed."""
+    out = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
+    return re.sub(r"^- runtime: \d+ ms$", "- runtime: 0 ms", out, flags=re.M)
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_OUTPUTS, ids=[n for n, _ in GOLDEN_OUTPUTS])
+def test_output_matches_golden(capsys, name, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert _without_runtime(out) == (GOLDEN / name).read_text()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import pytest
 
 from toricjets import (
+    ComponentClass,
     InputRangeError,
     ToricSurface,
     codimension,
@@ -9,16 +10,67 @@ from toricjets import (
     dimension,
     enumerate_classes,
     exceptional_count_dual_cf,
-    index_of_speciality,
     m_cap,
     report_as_dict,
-    s1_count,
     valid_labels,
 )
 
 
 def _classes(p, q, m):
     return enumerate_classes(ToricSurface.from_pair(p, q), m)
+
+
+def _classes_union_find(surface, m):
+    """Reference enumeration: a general union-find over the gluing edges,
+    assuming nothing about which labels the edges link."""
+    e = surface.e
+    entries = surface.entries
+    out = []
+    for s in range(1, (m + 1) // 2 + 1):
+        caps = [min((c - 1) * s, m + 1 - s) for c in entries]  # index i-2 for c_i
+        codim = s * e + (m - (2 * s - 1)) * (e - 2)
+        dim = e * (m + 1) - codim
+
+        parent = {}
+
+        def find(x):
+            root = x
+            while parent.get(root, root) != root:
+                root = parent[root]
+            while parent.get(x, x) != x:
+                parent[x], x = root, parent[x]
+            return root
+
+        for i in range(2, e - 1):
+            a = find((i, s))
+            b = find((i + 1, caps[i - 1]))
+            if a != b:
+                parent[a] = b
+
+        groups = {}
+        slice_classes = []
+        for i in range(2, e):
+            cap = caps[i - 2]
+            for l in range(s, cap + 1):
+                # only endpoints of gluing edges can be in a nontrivial class
+                if (l == s and i <= e - 2) or (l == cap and i >= 3):
+                    groups.setdefault(find((i, l)), []).append((i, s, l))
+                else:
+                    label = (i, s, l)
+                    slice_classes.append(ComponentClass(label, (label,), s, codim, dim))
+        for labels in groups.values():
+            labels.sort()
+            slice_classes.append(ComponentClass(labels[0], tuple(labels), s, codim, dim))
+        slice_classes.sort(key=lambda cl: (cl.canonical[0], cl.canonical[2]))
+        out.extend(slice_classes)
+    return out
+
+
+def test_classes_match_union_find_reference(family12):
+    for surf in family12:
+        for m in range(1, 41):
+            assert enumerate_classes(surf, m) == _classes_union_find(surf, m), (
+                surf.p, surf.q, m)
 
 
 def test_m_cap_frozen():
@@ -132,7 +184,6 @@ def test_class_invariants(family12):
                 assert all(lab[1] == c.s for lab in c.members)
                 assert c.codim == codimension(surf, c.s, m)
                 assert c.dim == surf.e * (m + 1) - c.codim
-                assert index_of_speciality(c) == c.s
                 seen.update(c.members)
             assert seen == set(valid_labels(surf, m))
 
@@ -150,12 +201,12 @@ def test_count_closed_form_all_twos_branch():
 
 
 def test_s1_count_frozen():
-    s57 = ToricSurface.from_pair(5, 7)
-    assert s1_count(s57, 2) == (2, False)
-    assert s1_count(s57, 3) == (2, True)
-    assert s1_count(s57, 10) == (2, True)
+    s57 = ToricSurface.from_pair(5, 7)  # max entry 3: m=2 is below the threshold
+    assert component_report(s57, 2).s1_count == 2
+    assert component_report(s57, 3).s1_count == 2
+    assert component_report(s57, 10).s1_count == 2
     s23 = ToricSurface.from_pair(2, 3)
-    assert s1_count(s23, 5) == (1, True)
+    assert component_report(s23, 5).s1_count == 1
 
 
 def test_s1_count_stabilizes_at_divisor_count(family30):
@@ -163,9 +214,7 @@ def test_s1_count_stabilizes_at_divisor_count(family30):
         m = max(surf.entries)
         want = exceptional_count_dual_cf(surf.cone)
         for mm in (m, m + 7):
-            count, met = s1_count(surf, mm)
-            assert met
-            assert count == want
+            assert component_report(surf, mm).s1_count == want
 
 
 def test_component_report_and_dict():

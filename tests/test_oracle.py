@@ -1,5 +1,6 @@
 import pytest
 
+from toricjets import oracle
 from toricjets import (
     ABOVE_M,
     GuardExceededError,
@@ -148,3 +149,32 @@ def test_parallel_matches_sequential():
     assert [fp.jet.coords for fp in seq] == [fp.jet.coords for fp in par]
     assert [fp.profile for fp in seq] == [fp.profile for fp in par]
     assert check_order_propagation(surf, OracleConfig(2, 3), 2, jobs=2)
+
+
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
+    # the fake pool records its size and maps in-process: no worker starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+    surf = ToricSurface.from_pair(3, 5)
+    cfg = OracleConfig(2, 2)
+    seq = [fp.jet.coords for fp in enumerate_fiber(surf, cfg)]
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=64)] == seq
+    assert sizes == [3]
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)  # unknown: one worker
+    assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=64)] == seq
+    assert sizes == [3]
