@@ -52,6 +52,7 @@ from .oracle import (
 )
 
 GUARD_ENV = "TORICJETS_GUARD"
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 
 def _default_guard() -> int:
@@ -65,7 +66,47 @@ def _default_guard() -> int:
 
 
 def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """The text of json.dumps(doc, sort_keys=True, indent=2), written without
+    the standard encoder: once it indents, that encoder runs in pure Python,
+    one call per integer, and the (e-1)(e-2)/2 dense exponent vectors of an
+    analyze document made it the command's whole cost at large e.  A list of
+    plain ints is joined in one step."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, pad: str, out: list[str]) -> None:
+    """Append obj indented as json.dumps does; pad is the newline and the
+    indent of obj's own line."""
+    if type(obj) is int:
+        out.append(str(obj))
+        return
+    if type(obj) is str:
+        out.append(_json_str(obj))
+        return
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key in sorted(obj):
+            name = key if isinstance(key, str) else json.dumps(key)
+            out.append(sep + _json_str(name) + ": ")
+            _write_json(obj[key], inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {int}:  # bool is not int here
+            text = repr(obj if type(obj) is list else list(obj))
+            out.append("[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _order_json(o):

@@ -2,8 +2,10 @@
 
 The surface in affine e-space is cut out by the binomials
 x_i x_j - x_{i+1}^{c_{i+1}-1} (prod_{k=i+2}^{j-2} x_k^{c_k-2}) x_{j-1}^{c_{j-1}-1}
-over all pairs 1 <= i < j-1 <= e-1.  Keeping them as exponent vectors makes
-evaluation on truncated jets plain integer arithmetic.
+over all pairs 1 <= i < j-1 <= e-1.  For a fixed i the minus monomials are
+one running product, grown by one factor per j, times one closing factor;
+minus_walk yields the binomials in that form, and generators expands it into
+dense exponent vectors for output and for the grading check.
 """
 
 from __future__ import annotations
@@ -39,43 +41,65 @@ class BinomialEquation:
             raise InputRangeError(
                 f"need 1 <= i < j-1 <= {e - 1}, got i={self.i} j={self.j}"
             )
-        expected = [0] * e
-        expected[self.i - 1] = 1
-        expected[self.j - 1] = 1
-        if list(self.plus_exponents) != expected:
+        # Whole-vector scans only: a wide analyze builds e^2/2 of these.
+        plus, minus = self.plus_exponents, self.minus_exponents
+        if not (plus.count(0) == e - 2 and plus[self.i - 1] == plus[self.j - 1] == 1):
             raise InputRangeError("plus monomial must be exactly x_i * x_j")
-        for k, a in enumerate(self.minus_exponents, start=1):
-            if a < 0:
-                raise InputRangeError(f"negative exponent {a} at position {k}")
-            if a and not self.i < k < self.j:
-                raise InputRangeError(
-                    f"minus monomial may only use x_{self.i + 1}..x_{self.j - 1}"
-                )
+        if min(minus) < 0:
+            k, a = next((k, a) for k, a in enumerate(minus, start=1) if a < 0)
+            raise InputRangeError(f"negative exponent {a} at position {k}")
+        if any(minus[: self.i]) or any(minus[self.j - 1 :]):
+            raise InputRangeError(
+                f"minus monomial may only use x_{self.i + 1}..x_{self.j - 1}"
+            )
 
 
-@lru_cache(maxsize=None)
+def minus_walk(surface: ToricSurface):
+    """Yield (i, j, grow, last) for every defining binomial, in (i, j) order.
+
+    The minus monomial of (i, j) is R * x_k^a with last = (k, a), where R is
+    the product of every grow factor (k, a) yielded since i last changed:
+
+    - j = i + 2: grow is None (R = 1) and last = (i+1, c_{i+1}), the two end
+      factors of the product landing on the same variable;
+    - j = i + 3: grow = (i+1, c_{i+1} - 1) and last = (i+2, c_{i+2} - 1);
+    - j >= i + 4: grow = (j-2, c_{j-2} - 2) and last = (j-1, c_{j-1} - 1).
+
+    So the minus monomials for a fixed i are built by one running product,
+    one factor per step.  This is the only place the formula is written.
+    """
+    c = (0, 0) + surface.entries  # c[k] is c_k for k in 2..e-1
+    e = surface.e
+    for i in range(1, e - 1):
+        yield i, i + 2, None, (i + 1, c[i + 1])
+        if i + 3 <= e:
+            yield i, i + 3, (i + 1, c[i + 1] - 1), (i + 2, c[i + 2] - 1)
+        for j in range(i + 4, e + 1):
+            yield i, j, (j - 2, c[j - 2] - 2), (j - 1, c[j - 1] - 1)
+
+
+@lru_cache(maxsize=16)
 def generators(surface: ToricSurface) -> tuple[BinomialEquation, ...]:
-    """All (e-1)(e-2)/2 defining binomials, ordered by (i, j).
+    """All (e-1)(e-2)/2 defining binomials, ordered by (i, j), built from
+    minus_walk.
 
-    For j = i + 2 the two end factors of the minus monomial land on the same
-    variable, collapsing the product to the single factor x_{i+1}^{c_{i+1}}.
+    The cache is bounded: a batch over many surfaces keeps only the most
+    recently used ones.
     """
     e = surface.e
     eqs = []
-    for i in range(1, e - 1):
-        for j in range(i + 2, e + 1):
-            plus = [0] * e
-            plus[i - 1] = 1
-            plus[j - 1] = 1
-            minus = [0] * e
-            if j == i + 2:
-                minus[i] = surface.c(i + 1)
-            else:
-                minus[i] = surface.c(i + 1) - 1
-                minus[j - 2] = surface.c(j - 1) - 1
-                for k in range(i + 2, j - 1):
-                    minus[k - 1] = surface.c(k) - 2
-            eqs.append(BinomialEquation(i, j, tuple(plus), tuple(minus)))
+    running = [0] * e
+    for i, j, grow, (k, a) in minus_walk(surface):
+        if grow is None:
+            running = [0] * e
+        else:
+            running[grow[0] - 1] += grow[1]
+        plus = [0] * e
+        plus[i - 1] = 1
+        plus[j - 1] = 1
+        minus = list(running)
+        minus[k - 1] += a
+        eqs.append(BinomialEquation(i, j, tuple(plus), tuple(minus)))
     return tuple(eqs)
 
 

@@ -4,6 +4,9 @@ A jet of level m holds e coordinate series, each as the m+1 coefficients of
 1, t, ..., t^m.  Coefficients are exact rationals or prime-field integers;
 products are truncated convolutions computed on the sparse support, which
 makes monomial arcs (single-term coordinates) cheap to test for membership.
+Membership walks the binomials of equations.minus_walk: for a fixed i the
+minus monomials are one running product, grown by one factor per equation,
+so a check costs O(e^2) sparse products rather than O(e^3).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equations import BinomialEquation, generators
+from .equations import BinomialEquation, minus_walk
 from .errors import InputRangeError, NonMemberError
 from .lattice import ToricSurface, cone_contains
 
@@ -146,40 +149,35 @@ def _sparse_rows(jet: TruncatedJet) -> list[tuple]:
     return [tuple((d, c) for d, c in enumerate(row) if c) for row in jet.coords]
 
 
-def _mono_sparse(exponents, rows, m: int, one=1):
-    """Sparse terms of prod_k x_k^{a_k} on the given rows, truncated past t^m.
+_ONE = ((0, 1),)  # the constant series 1, a valid seed in every characteristic
 
-    The seed 1 is a valid representative in every characteristic; reduction
-    is deferred to the caller's is_zero.
+
+def _times_power(acc, row, a: int, m: int):
+    """Sparse terms of acc * row^a, truncated past t^m; () once nothing survives.
+
+    acc holds (degree, coefficient) pairs in any order, row in ascending
+    degree.  Reduction is deferred to the caller's is_zero.
     """
-    acc = ((0, one),)
-    for idx, a in enumerate(exponents):
-        if not a:
-            continue
-        row = rows[idx]
-        if not row:
+    if not a or not acc:
+        return acc
+    if not row:
+        return ()
+    if len(row) == 1:
+        d2, c2 = row[0]
+        shift = d2 * a
+        scale = c2**a
+        return tuple((d1 + shift, c1 * scale) for d1, c1 in acc if d1 + shift <= m)
+    for _ in range(a):
+        merged: dict = {}
+        for d1, c1 in acc:
+            for d2, c2 in row:
+                d = d1 + d2
+                if d > m:
+                    break  # row degrees ascend
+                merged[d] = merged.get(d, 0) + c1 * c2
+        if not merged:
             return ()
-        if len(row) == 1:
-            d2, c2 = row[0]
-            shift = d2 * a
-            scale = c2 ** a
-            acc = tuple(
-                (d1 + shift, c1 * scale) for d1, c1 in acc if d1 + shift <= m
-            )
-            if not acc:
-                return ()
-            continue
-        for _ in range(a):
-            merged: dict = {}
-            for d1, c1 in acc:
-                for d2, c2 in row:
-                    d = d1 + d2
-                    if d > m:
-                        break  # row degrees ascend
-                    merged[d] = merged.get(d, 0) + c1 * c2
-            if not merged:
-                return ()
-            acc = tuple(merged.items())
+        acc = tuple(merged.items())
     return acc
 
 
@@ -195,27 +193,41 @@ def evaluate(eq: BinomialEquation, jet: TruncatedJet) -> tuple:
     m = jet.m
     rows = _sparse_rows(jet)
     out = [0] * (m + 1)
-    for d, c in _mono_sparse(eq.plus_exponents, rows, m):
-        out[d] = out[d] + c
-    for d, c in _mono_sparse(eq.minus_exponents, rows, m):
-        out[d] = out[d] - c
+    for sign, exponents in ((1, eq.plus_exponents), (-1, eq.minus_exponents)):
+        acc = _ONE
+        for row, a in zip(rows, exponents):
+            acc = _times_power(acc, row, a, m)
+        for d, c in acc:
+            out[d] += sign * c
     return tuple(out)
 
 
 def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
-    """True iff every defining binomial vanishes along the jet mod t^(m+1)."""
+    """True iff every defining binomial vanishes along the jet mod t^(m+1).
+
+    The binomials come from minus_walk: for each i the minus monomials are
+    one running product times one closing factor, so each binomial costs a
+    bounded number of sparse products and a call is O(e^2), not O(e^3).  A
+    running product that has truncated to zero stays zero for that i.
+    """
     rows = _sparse_rows(jet)
     m = jet.m
     is_zero = jet.field.is_zero
-    for eq in generators(surface):
-        diff: dict = {}
-        for d, c in _mono_sparse(eq.plus_exponents, rows, m):
-            diff[d] = diff.get(d, 0) + c
-        for d, c in _mono_sparse(eq.minus_exponents, rows, m):
-            diff[d] = diff.get(d, 0) - c
-        for c in diff.values():
-            if not is_zero(c):
-                return False
+    running = _ONE
+    for i, j, grow, (k, a) in minus_walk(surface):
+        if grow is None:
+            running = _ONE
+        else:
+            running = _times_power(running, rows[grow[0] - 1], grow[1], m)
+        plus = _times_power(rows[i - 1], rows[j - 1], 1, m)
+        minus = _times_power(running, rows[k - 1], a, m)
+        if plus != minus:  # equal term lists need no reduction
+            diff = dict(plus)
+            for d, c in minus:
+                diff[d] = diff.get(d, 0) - c
+            for c in diff.values():
+                if not is_zero(c):
+                    return False
     return True
 
 

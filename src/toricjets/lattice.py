@@ -250,19 +250,17 @@ def exceptional_count_hull(cone: ConePair) -> int:
     of the cone points on the origin side of the chord joining the endpoints,
     and mid-edge lattice points are recovered from the gcd of each edge
     vector.  Must agree with exceptional_count_dual_cf.
+
+    The chain faces up and to the left, so only the leftmost cone point of
+    each row y in 0..q can be one of its vertices: a scan of O(q) points,
+    which come out already sorted.
     """
     p, q = cone.p, cone.q
     pts = []
-    for x in range(0, p + 1):
-        for y in range(0, q + 1):
-            if (x, y) == (0, 0):
-                continue
-            if q * x - p * y < 0:
-                continue  # outside sigma
-            if (p - 1) * y - q * (x - 1) < 0:
-                continue  # strictly beyond the chord
+    for y in range(0, q + 1):
+        x = -(-p * y // q) or 1  # least x with (x, y) in sigma, (0, 0) excluded
+        if (p - 1) * y - q * (x - 1) >= 0:  # not strictly beyond the chord
             pts.append((x, y))
-    pts.sort()
     hull: list[Vec] = []
     for pt in pts:
         while len(hull) >= 2 and _cross(

@@ -132,7 +132,7 @@ def _enumerate_members(
     surface: ToricSurface, config: OracleConfig, fix_origin: bool, jobs: int = 1
 ) -> list[TruncatedJet]:
     """All member jets, odometer order, optionally chunked across processes
-    (at most one per CPU).
+    (at most one per CPU and one per chunk).
 
     Chunks partition the space by leading digits; concatenating their results
     in prefix order reproduces the sequential order exactly, so parallel runs
@@ -157,7 +157,7 @@ def _enumerate_members(
             (surface.p, surface.q, char, m, fix_origin, pre, total_digits - k)
             for pre in prefixes
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             chunks = list(pool.map(_member_coords_star, args))
         coords = [rows for chunk in chunks for rows in chunk]
     field = prime_field(char)

@@ -1,12 +1,15 @@
 import json
+import random
 import re
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
-from toricjets.cli import main
+from toricjets import ToricSurface
+from toricjets.cli import _analyze_doc, _canonical_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,6 +75,39 @@ def test_analyze_json_is_canonical(capsys):
     assert code == 0
     doc = json.loads(out)
     assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _random_doc(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.randint(-10**20, 10**20)
+    if kind == 1:
+        return rng.choice([True, False, None, 0.5, -0.0, 1e300 * 10, float("nan")])
+    if kind == 2:
+        return "".join(rng.choice('ab"\\\n\xe9☃,[ \U0001f600') for _ in range(rng.randrange(5)))
+    if kind == 3:
+        return rng.choice([list, tuple])(rng.randint(-99, 99) for _ in range(rng.randrange(4)))
+    if kind == 4:
+        return [rng.choice([1, True, None, "1"]) for _ in range(rng.randrange(4))]
+    if kind in (5, 6):
+        return [_random_doc(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 7:
+        return {rng.randrange(5): _random_doc(rng, depth + 1) for _ in range(rng.randrange(3))}
+    return {rng.choice(["a", "b", "\xe9", 'q"']) + str(rng.randrange(5)): _random_doc(rng, depth + 1)
+            for _ in range(rng.randrange(4))}
+
+
+def test_canonical_json_matches_the_standard_encoder():
+    """The hand-written writer must give json.dumps(sort_keys=True, indent=2)
+    byte for byte: bools and None inside int lists, tuples, non-string keys,
+    empty containers, escapes, and a wide analyze document."""
+    rng = random.Random(7)
+    docs = [_random_doc(rng) for _ in range(3000)]
+    docs += [{}, [], [[]], [{}], {"a": []}, (5,), [True, 1], [1.0, 1], {1: 2, 3: [True]}, {None: 0}]
+    surface = ToricSurface.from_pair(75, 77)  # e = 40
+    docs.append(_analyze_doc(surface, Namespace(m=6)))
+    for doc in docs:
+        assert _canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_analyze_md_default(capsys):

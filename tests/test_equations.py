@@ -104,3 +104,9 @@ def test_binomial_equation_validation():
 def test_generators_are_cached():
     surf = ToricSurface.from_pair(3, 5)
     assert generators(surf) is generators(surf)
+
+
+def test_generators_cache_is_bounded():
+    # a batch over many surfaces must not keep every generator table alive
+    maxsize = generators.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 16

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricjets import jets
 from toricjets import (
     ABOVE_M,
     RATIONALS,
@@ -257,3 +258,76 @@ def test_order_propagation_contrapositive_rationals():
         assert profile[i - 1] == s and profile[i] == s
         assert profile[k - 1] < s
         assert not is_member(jet, surf)
+
+
+def _member_by_evaluate(jet, surf):
+    """Reference membership: every generator's series vanishes, coefficient
+    by coefficient."""
+    is_zero = jet.field.is_zero
+    return all(all(map(is_zero, evaluate(eq, jet))) for eq in generators(surf))
+
+
+def _witness_arcs(surf, m):
+    for (i, s, l) in valid_labels(surf, m):
+        v, _ = contact_vector(surf, i, s, l)
+        yield monomial_arc(surf, v, m)
+
+
+def test_is_member_matches_evaluate_on_witness_arcs(family12):
+    # each arc, and the same arc with one coordinate doubled, which breaks
+    # every binomial that coordinate enters below t^(m+1)
+    seen = set()
+    for surf in family12:
+        for m in (6, 12):
+            for n, arc in enumerate(_witness_arcs(surf, m)):
+                k = n % surf.e
+                rows = [list(row) for row in arc.coords]
+                rows[k] = [2 * c for c in rows[k]]
+                for jet in (arc, TruncatedJet(arc.field, m, rows)):
+                    want = _member_by_evaluate(jet, surf)
+                    assert is_member(jet, surf) == want
+                    seen.add(want)
+    assert seen == {True, False}
+
+
+def test_is_member_matches_evaluate_on_random_dense_jets():
+    # unreduced residues 0..2p-1; each row is zero below a random degree and
+    # half-filled above it, so members and non-members both occur
+    rng = random.Random(20261018)
+    surfaces = [ToricSurface.from_pair(p, q) for p, q in ((5, 6), (7, 9), (13, 47), (5, 7))]
+    assert min(s.e for s in surfaces[:3]) >= 6 and 2 in surfaces[0].entries
+    counts = {True: 0, False: 0}
+    for _ in range(1500):
+        surf = rng.choice(surfaces)
+        char = rng.choice((2, 3, 5))
+        m = rng.randint(0, 5)
+        rows = []
+        for _ in range(surf.e):
+            low = rng.randint(0, m + 1)
+            rows.append([
+                rng.randrange(2 * char) if b >= low and rng.random() < 0.5 else 0
+                for b in range(m + 1)
+            ])
+        jet = TruncatedJet(prime_field(char), m, rows)
+        want = _member_by_evaluate(jet, surf)
+        assert is_member(jet, surf) == want
+        counts[want] += 1
+    assert min(counts.values()) >= 100, counts
+
+
+@pytest.mark.parametrize("at", [(1, 4), (1, 5), (2, 6)])
+def test_is_member_rejects_a_wrong_grow_exponent(monkeypatch, family12, at):
+    # plant one grow factor off by one: some witness arc must fail the check
+    walk = jets.minus_walk
+
+    def planted(surface):
+        for i, j, grow, last in walk(surface):
+            if (i, j) == at:
+                grow = (grow[0], grow[1] + 1)
+            yield i, j, grow, last
+
+    monkeypatch.setattr(jets, "minus_walk", planted)
+    arcs = [(surf, arc) for surf in family12 if surf.e >= at[1]
+            for arc in _witness_arcs(surf, 12)]
+    assert arcs
+    assert not all(is_member(arc, surf) for surf, arc in arcs)

@@ -192,6 +192,44 @@ def test_exceptional_counts_agree(family30):
         assert n == 1 + sum(c - 2 for c in surf.entries)
 
 
+def _hull_count_box_scan(cone):
+    """Reference hull count: the same chain, built from every cone point of
+    the p x q box on the origin side of the chord."""
+    p, q = cone.p, cone.q
+    pts = []
+    for x in range(0, p + 1):
+        for y in range(0, q + 1):
+            if (x, y) == (0, 0):
+                continue
+            if q * x - p * y < 0:
+                continue  # outside sigma
+            if (p - 1) * y - q * (x - 1) < 0:
+                continue  # strictly beyond the chord
+            pts.append((x, y))
+    pts.sort()
+    hull = []
+    for pt in pts:
+        while len(hull) >= 2 and (hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1]) - (
+            hull[-1][1] - hull[-2][1]
+        ) * (pt[0] - hull[-2][0]) >= 0:
+            hull.pop()
+        hull.append(pt)
+    assert hull[0] == (1, 0) and hull[-1] == (p, q), hull
+    edge_points = sum(
+        math.gcd(abs(b[0] - a[0]), abs(b[1] - a[1])) for a, b in zip(hull, hull[1:])
+    )
+    return edge_points - 1
+
+
+def test_hull_count_matches_box_scan():
+    pairs = [(p, q) for q in range(2, 81) for p in range(1, q) if math.gcd(p, q) == 1]
+    # long pairs (p, a p - 1) of the analyze benchmark, e = 4
+    pairs += [(775, 1549), (245, 4899), (239, 5018)]
+    for p, q in pairs:
+        cone = ConePair(p, q)
+        assert exceptional_count_hull(cone) == _hull_count_box_scan(cone), (p, q)
+
+
 def test_surface_accessors():
     surf = ToricSurface.from_pair(5, 7)
     assert (surf.p, surf.q, surf.e) == (5, 7, 5)

@@ -151,8 +151,10 @@ def test_parallel_matches_sequential():
     assert check_order_propagation(surf, OracleConfig(2, 3), 2, jobs=2)
 
 
-def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
-    # the fake pool records its size and maps in-process: no worker starts
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap in a fake pool that records its size and maps in-process: no
+    worker starts.  Yields the list of recorded sizes."""
     sizes = []
 
     class FakePool:
@@ -169,12 +171,28 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+    yield sizes
+
+
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, pool_sizes):
     surf = ToricSurface.from_pair(3, 5)
     cfg = OracleConfig(2, 2)
     seq = [fp.jet.coords for fp in enumerate_fiber(surf, cfg)]
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=64)] == seq
-    assert sizes == [3]
+    assert pool_sizes == [3]
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)  # unknown: one worker
     assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=64)] == seq
-    assert sizes == [3]
+    assert pool_sizes == [3]
+
+
+def test_jobs_are_clamped_to_the_chunk_count(monkeypatch, pool_sizes):
+    # (2,3) at F_2, m = 1 over the origin has 4 free digits: at most 2^4 chunks
+    surf = ToricSurface.from_pair(2, 3)
+    cfg = OracleConfig(2, 1)
+    seq = [fp.jet.coords for fp in enumerate_fiber(surf, cfg)]
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=64)] == seq
+    assert pool_sizes == [16]
+    assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=5)] == seq
+    assert pool_sizes == [16, 5]
