@@ -29,14 +29,18 @@ class ComponentClass(NamedTuple):
     dim: int
 
 
+def _check_s(s: int, m: int) -> None:
+    smax = (m + 1) // 2
+    if not 1 <= s <= smax:
+        raise InputRangeError(f"s must be in 1..{smax} for m={m}, got {s}")
+
+
 def m_cap(surface: ToricSurface, i: int, s: int, m: int) -> int:
     """Largest admissible order of x_{i+1}: min((c_i - 1) s, m + 1 - s).
 
     Always >= s, because 2s <= m + 1 and c_i >= 2.
     """
-    smax = (m + 1) // 2
-    if not 1 <= s <= smax:
-        raise InputRangeError(f"s must be in 1..{smax} for m={m}, got {s}")
+    _check_s(s, m)
     ci = surface.c(i)  # validates i
     return min((ci - 1) * s, m + 1 - s)
 
@@ -45,9 +49,7 @@ def codimension(surface: ToricSurface, s: int, m: int) -> int:
     """Codimension s e + (m - (2s - 1))(e - 2); depends only on s and m."""
     if m < 1:
         raise InputRangeError(f"jet level must be >= 1, got {m}")
-    smax = (m + 1) // 2
-    if not 1 <= s <= smax:
-        raise InputRangeError(f"s must be in 1..{smax} for m={m}, got {s}")
+    _check_s(s, m)
     e = surface.e
     return s * e + (m - (2 * s - 1)) * (e - 2)
 

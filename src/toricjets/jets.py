@@ -210,6 +210,8 @@ def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
     bounded number of sparse products and a call is O(e^2), not O(e^3).  A
     running product that has truncated to zero stays zero for that i.
     """
+    if jet.e != surface.e:
+        raise InputRangeError(f"surface has {surface.e} coordinates, jet has {jet.e}")
     rows = _sparse_rows(jet)
     m = jet.m
     is_zero = jet.field.is_zero

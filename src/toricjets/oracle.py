@@ -1,15 +1,19 @@
 """Exhaustive finite-field verification of the component classification.
 
-Everything here enumerates complete coefficient spaces over a prime field at
-desk scale and checks the classification lemmas point by point: membership,
-the fiber over the singular point, order propagation, stratum non-emptiness
-and disjointness, and dimension-predicted point counts.  Point counts over
-F_p are heuristic evidence for dimensions and are reported as experimental;
-the boolean lemma checks are hard.
+Everything here enumerates every member jet of a level over a prime field
+at desk scale and checks the classification lemmas point by point:
+membership, the fiber over the singular point, order propagation, stratum
+non-emptiness and disjointness, and dimension-predicted point counts.  The
+members are found by lifting: those at level d are the members at level d-1
+extended by one coefficient layer, so only members and their one-layer
+extensions are visited.  Point counts over F_p are heuristic evidence for
+dimensions and are reported as experimental; the boolean lemma checks are
+hard.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -98,70 +102,49 @@ def _check_guard(surface: ToricSurface, config: OracleConfig) -> None:
         )
 
 
-def _member_coords(p, q, characteristic, m, fix_origin, prefix, tail_len):
-    """Coordinate rows of the member jets in one odometer chunk.
+def _lift(surface, field, m, coords):
+    """Coordinate rows of the member jets at level m above the given members.
 
-    The coefficient space is flattened to e blocks of digits, one block per
-    coordinate, most significant digit first; prefix pins the leading digits.
-    Returns plain tuples so chunks can cross process boundaries.
+    coords holds the rows of members of one level k < m, or empty rows
+    (k = -1).  Each round extends every member by the p^e coefficient layers
+    of the next degree and keeps the members among them; a truncation of a
+    member is a member, so none is missed.
     """
-    surface = ToricSurface.from_pair(p, q)
-    field = prime_field(characteristic)
-    e = surface.e
-    per = m if fix_origin else m + 1
-    found = []
-    for tail in itertools.product(range(characteristic), repeat=tail_len):
-        digits = prefix + tail
-        rows = []
-        base = 0
-        for _ in range(e):
-            chunk = digits[base : base + per]
-            rows.append((0,) + chunk if fix_origin else chunk)
-            base += per
-        jet = TruncatedJet(field, m, tuple(rows))
-        if is_member(jet, surface):
-            found.append(tuple(jet.coords))
-    return found
-
-
-def _member_coords_star(args):
-    return _member_coords(*args)
+    layers = list(itertools.product(field.elements(), repeat=surface.e))
+    for k in range(len(coords[0][0]), m + 1):
+        lifted = []
+        for rows in coords:
+            for layer in layers:
+                ext = tuple(row + (c,) for row, c in zip(rows, layer))
+                if is_member(TruncatedJet(field, k, ext), surface):
+                    lifted.append(ext)
+        coords = lifted
+    return coords
 
 
 def _enumerate_members(
-    surface: ToricSurface, config: OracleConfig, fix_origin: bool, jobs: int = 1
+    surface: ToricSurface, config: OracleConfig, start: list, jobs: int = 1
 ) -> list[TruncatedJet]:
-    """All member jets, odometer order, optionally chunked across processes
-    (at most one per CPU and one per chunk).
+    """All member jets at level m above the start members, sorted by coords.
 
-    Chunks partition the space by leading digits; concatenating their results
-    in prefix order reproduces the sequential order exactly, so parallel runs
-    are bit-for-bit identical to sequential ones.
+    Lexicographic order on coords is the order of an odometer over the
+    coefficients flattened coordinate by coordinate.  With jobs > 1 and
+    m >= 2 the walk runs to level 1 here, and the subtrees of the level-1
+    members go to a pool of at most one process per CPU and per subtree; the
+    sort makes the result independent of how the work was split.
     """
     _check_guard(surface, config)
-    char = config.characteristic
-    m = config.m
-    per = m if fix_origin else m + 1
-    total_digits = surface.e * per
+    field = prime_field(config.characteristic)
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or total_digits == 0:
-        coords = _member_coords(
-            surface.p, surface.q, char, m, fix_origin, (), total_digits
-        )
+    if jobs <= 1 or config.m <= 1:  # at m <= 1 the roots are the whole walk
+        coords = _lift(surface, field, config.m, start)
     else:
-        k = 1
-        while char**k < jobs and k < total_digits:
-            k += 1
-        prefixes = itertools.product(range(char), repeat=k)
-        args = [
-            (surface.p, surface.q, char, m, fix_origin, pre, total_digits - k)
-            for pre in prefixes
-        ]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            chunks = list(pool.map(_member_coords_star, args))
+        roots = _lift(surface, field, 1, start)
+        subtree = functools.partial(_lift, surface, field, config.m)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(roots))) as pool:
+            chunks = list(pool.map(subtree, ([rows] for rows in roots)))
         coords = [rows for chunk in chunks for rows in chunk]
-    field = prime_field(char)
-    return [TruncatedJet(field, m, rows) for rows in coords]
+    return [TruncatedJet(field, config.m, rows) for rows in sorted(coords)]
 
 
 def enumerate_fiber(
@@ -169,11 +152,11 @@ def enumerate_fiber(
 ) -> list[FiberPoint]:
     """Every member jet over the singular point, with its contact profile.
 
-    Constant terms are pinned to zero up front, so p^(e m) coefficient tuples
-    are visited; the guard is still charged for the full p^(e(m+1)) space.
-    Output order follows the odometer and is deterministic.
+    The walk starts from the zero constant layer and visits only members
+    and their one-layer extensions; the guard is still charged for the full
+    p^(e(m+1)) space.  Points come sorted by coefficients, deterministically.
     """
-    jets = _enumerate_members(surface, config, fix_origin=True, jobs=jobs)
+    jets = _enumerate_members(surface, config, [((0,),) * surface.e], jobs)
     out = []
     for jet in jets:
         profile = tuple(coordinate_order(jet, j) for j in range(1, surface.e + 1))
@@ -186,7 +169,7 @@ def check_order_propagation(
 ) -> bool:
     """At m = 2s-1: members with ord x_i = ord x_{i+1} = s have all orders >= s.
 
-    Scans the full coefficient space, constant terms included: the order
+    Walks the members of the full space, constant terms included: the order
     hypothesis can hold while some other coordinate is a unit, and exactly
     those jets must fail membership for the claim to stand.
     """
@@ -197,7 +180,7 @@ def check_order_propagation(
             f"order propagation needs m = 2s-1 = {2 * s - 1}, config has m={config.m}"
         )
     e = surface.e
-    for jet in _enumerate_members(surface, config, fix_origin=False, jobs=jobs):
+    for jet in _enumerate_members(surface, config, [((),) * e], jobs):
         orders = [coordinate_order(jet, j) for j in range(1, e + 1)]
         if not any(orders[i - 1] == s and orders[i] == s for i in range(2, e)):
             continue

@@ -26,7 +26,6 @@ from toricjets import (
     exceptional_count_hull,
     generators,
     grading_check,
-    is_member,
     monomial_arc,
     stratum_counts,
     valid_labels,
@@ -35,8 +34,14 @@ from conftest import coprime_family
 
 FAMILY = coprime_family(30)
 
-ORACLE_SURFACES = [(2, 3), (3, 5), (2, 5)]
-ORACLE_FIELDS = [(2, 3), (3, 2)]  # (characteristic, largest m)
+# ((p, q), characteristic, largest m): e = 4, 5 and 6, each within the guard
+ORACLE_GRID = [
+    *((pq, ch, mtop) for pq in [(2, 3), (3, 5), (2, 5)] for ch, mtop in [(2, 3), (3, 2)]),
+    ((5, 7), 2, 3),
+    ((5, 7), 3, 2),
+    ((7, 9), 2, 3),
+    ((7, 9), 3, 1),
+]
 
 _ORACLE: dict = {}
 
@@ -47,19 +52,18 @@ def _oracle_matrix():
     if "runs" in _ORACLE:
         return _ORACLE["runs"]
     runs = []
-    for (p, q) in ORACLE_SURFACES:
+    for (p, q), ch, mtop in ORACLE_GRID:
         surf = ToricSurface.from_pair(p, q)
-        for ch, mtop in ORACLE_FIELDS:
-            for m in range(1, mtop + 1):
-                cfg = OracleConfig(ch, m)
-                fiber = enumerate_fiber(surf, cfg)
-                propagation = all(
-                    check_order_propagation(surf, OracleConfig(ch, 2 * s - 1), s)
-                    for s in range(1, (m + 1) // 2 + 1)
-                )
-                strata = stratum_counts(surf, cfg, points=fiber)
-                coverage = coverage_spot_check(surf, cfg, points=fiber)
-                runs.append((surf, ch, m, fiber, propagation, strata, coverage))
+        for m in range(1, mtop + 1):
+            cfg = OracleConfig(ch, m)
+            fiber = enumerate_fiber(surf, cfg)
+            propagation = all(
+                check_order_propagation(surf, OracleConfig(ch, 2 * s - 1), s)
+                for s in range(1, (m + 1) // 2 + 1)
+            )
+            strata = stratum_counts(surf, cfg, points=fiber)
+            coverage = coverage_spot_check(surf, cfg, points=fiber)
+            runs.append((surf, ch, m, fiber, propagation, strata, coverage))
     _ORACLE["runs"] = runs
     return runs
 
@@ -141,8 +145,7 @@ def test_criterion_4_witness_suite():
                 v, inside = contact_vector(surf, i, s, l)
                 assert inside, (surf.p, surf.q, i, s, l)
                 arc = monomial_arc(surf, v, m)
-                assert is_member(arc, surf), (surf.p, surf.q, i, s, l)
-                profile, over = contact_profile(arc, surf)
+                profile, over = contact_profile(arc, surf)  # raises on a non-member
                 assert profile[i - 1] == s and profile[i] == l, (
                     surf.p, surf.q, i, s, l, profile)
                 assert over
@@ -160,7 +163,7 @@ def test_criterion_5_oracle_hard_checks():
     t0 = time.monotonic()
     try:
         runs = _oracle_matrix()
-        assert len(runs) == 15
+        assert len(runs) == 24
         for surf, ch, m, fiber, propagation, strata, coverage in runs:
             key = (surf.p, surf.q, ch, m)
             assert propagation, key
@@ -177,7 +180,8 @@ def test_criterion_5_oracle_hard_checks():
         raise
     points = sum(len(fiber) for _, _, _, fiber, _, _, _ in runs)
     print(f"[PASS] criterion 5: propagation, non-emptiness, disjointness, and "
-          f"minimum order hold over {points} fiber points in 15 runs ({dt:.1f}s)")
+          f"minimum order hold over {points} fiber points in {len(runs)} runs "
+          f"({dt:.1f}s)")
 
 
 def test_criterion_6_oracle_count_prediction():

@@ -99,6 +99,16 @@ def test_evaluate_rejects_arity_mismatch():
         evaluate(generators(surf)[0], jet)
 
 
+@pytest.mark.parametrize("e", [3, 5])
+def test_membership_rejects_arity_mismatch(e):
+    surf = ToricSurface.from_pair(3, 5)  # e = 4
+    jet = TruncatedJet.build(prime_field(2), 1, [(0, 0)] * e)
+    with pytest.raises(InputRangeError):
+        is_member(jet, surf)
+    with pytest.raises(InputRangeError):
+        contact_profile(jet, surf)
+
+
 def test_membership_depends_on_characteristic():
     # x1 = x3 = t, x2 = x4 = 2t: every binomial difference is a multiple of 3t^2
     surf = ToricSurface.from_pair(2, 3)

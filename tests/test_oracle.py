@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from toricjets import oracle
@@ -7,6 +9,7 @@ from toricjets import (
     InputRangeError,
     OracleConfig,
     ToricSurface,
+    TruncatedJet,
     check_order_propagation,
     coverage_spot_check,
     enumerate_fiber,
@@ -81,6 +84,78 @@ def test_order_propagation_frozen():
         assert check_order_propagation(surf, OracleConfig(3, 1), 1)
     with pytest.raises(InputRangeError):
         check_order_propagation(ToricSurface.from_pair(2, 3), OracleConfig(2, 2), 1)
+
+
+def _odometer_members(surf, ch, m, over_origin):
+    """Reference: every coefficient tuple, most significant digit first and
+    coordinate by coordinate, kept when it is a member jet.  Over the origin
+    the constant terms are pinned to zero."""
+    field = prime_field(ch)
+    head = (0,) if over_origin else ()
+    per = m + 1 - len(head)
+    out = []
+    for digits in itertools.product(range(ch), repeat=surf.e * per):
+        rows = tuple(head + digits[k * per:(k + 1) * per] for k in range(surf.e))
+        if is_member(TruncatedJet(field, m, rows), surf):
+            out.append(rows)
+    return out
+
+
+def _check_against_odometer(monkeypatch, p, q, ch, m):
+    surf = ToricSurface.from_pair(p, q)
+    cfg = OracleConfig(ch, m)
+    assert required_budget(surf, cfg) <= 1 << 16
+    fiber = [fp.jet.coords for fp in enumerate_fiber(surf, cfg)]
+    assert fiber == _odometer_members(surf, ch, m, over_origin=True)
+    if m % 2:  # order propagation runs at m = 2s-1 over the full space
+        walked = []
+        real = oracle._enumerate_members
+
+        def spy(*args):
+            jets = real(*args)
+            walked.extend(jet.coords for jet in jets)
+            return jets
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_enumerate_members", spy)
+            assert check_order_propagation(surf, cfg, (m + 1) // 2)
+        assert walked == _odometer_members(surf, ch, m, over_origin=False)
+
+
+# every e = 4 cell with p^(e(m+1)) <= 2^16, and (5,7) at F_2 for m <= 2
+ODOMETER_CELLS = [
+    *((p, q, ch, m) for p, q in [(2, 3), (3, 5), (2, 5)]
+      for ch, mtop in [(2, 3), (3, 1), (5, 0)] for m in range(mtop + 1)),
+    *((5, 7, 2, m) for m in range(3)),
+]
+
+
+@pytest.mark.parametrize("p,q,ch,m", ODOMETER_CELLS)
+def test_lifting_walk_matches_the_odometer(monkeypatch, p, q, ch, m):
+    _check_against_odometer(monkeypatch, p, q, ch, m)
+
+
+def test_odometer_check_catches_a_kept_non_member(monkeypatch):
+    real = oracle.is_member
+    kept = []
+
+    def leaky(jet, surface):
+        ok = real(jet, surface)
+        if not ok and not kept:
+            kept.append(jet)
+            return True
+        return ok
+
+    monkeypatch.setattr(oracle, "is_member", leaky)
+    with pytest.raises(AssertionError):
+        _check_against_odometer(monkeypatch, 3, 5, 2, 2)
+    assert kept
+
+
+def test_odometer_check_catches_a_missing_sort(monkeypatch):
+    monkeypatch.setattr(oracle, "sorted", list, raising=False)
+    with pytest.raises(AssertionError):
+        _check_against_odometer(monkeypatch, 3, 5, 2, 2)
 
 
 def test_stratum_counts_frozen_2_3():
@@ -187,12 +262,17 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, pool_sizes):
 
 
 def test_jobs_are_clamped_to_the_chunk_count(monkeypatch, pool_sizes):
-    # (2,3) at F_2, m = 1 over the origin has 4 free digits: at most 2^4 chunks
+    # (2,3) at F_2 over the origin has 2^4 level-1 members: at most 16 chunks
     surf = ToricSurface.from_pair(2, 3)
-    cfg = OracleConfig(2, 1)
+    cfg = OracleConfig(2, 2)
     seq = [fp.jet.coords for fp in enumerate_fiber(surf, cfg)]
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
     assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=64)] == seq
     assert pool_sizes == [16]
     assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=5)] == seq
+    assert pool_sizes == [16, 5]
+    # at m = 1 the level-1 members are the whole walk: no pool starts
+    one = OracleConfig(2, 1)
+    seq = [fp.jet.coords for fp in enumerate_fiber(surf, one)]
+    assert [fp.jet.coords for fp in enumerate_fiber(surf, one, jobs=64)] == seq
     assert pool_sizes == [16, 5]
