@@ -6,7 +6,8 @@ membership, the fiber over the singular point, order propagation, stratum
 non-emptiness and disjointness, and dimension-predicted point counts.  The
 members are found by lifting: those at level d are the members at level d-1
 extended by one coefficient layer, so only members and their one-layer
-extensions are visited.  Point counts over F_p are heuristic evidence for
+extensions are visited, and over the origin one check decides all p^e
+extensions of a member.  Point counts over F_p are heuristic evidence for
 dimensions and are reported as experimental; the boolean lemma checks are
 hard.
 """
@@ -108,14 +109,22 @@ def _lift(surface, field, m, coords):
     coords holds the rows of members of one level k < m, or empty rows
     (k = -1).  Each round extends every member by the p^e coefficient layers
     of the next degree and keeps the members among them; a truncation of a
-    member is a member, so none is missed.
+    member is a member, so none is missed.  Over the origin (constant layer
+    zero, k >= 1) every order is >= 1 and every binomial monomial has degree
+    >= 2, so the t^k coefficients read only layers 1..k-1: the child with a
+    zero layer k is checked and stands for all p^e children.
     """
     layers = list(itertools.product(field.elements(), repeat=surface.e))
     for k in range(len(coords[0][0]), m + 1):
         lifted = []
         for rows in coords:
-            for layer in layers:
-                ext = tuple(row + (c,) for row, c in zip(rows, layer))
+            exts = (tuple(r + (c,) for r, c in zip(rows, layer)) for layer in layers)
+            if k and not any(row[0] for row in rows):
+                zero = next(exts)  # the layers start at (0,) * e
+                if is_member(TruncatedJet(field, k, zero), surface):
+                    lifted += [zero, *exts]
+                continue
+            for ext in exts:
                 if is_member(TruncatedJet(field, k, ext), surface):
                     lifted.append(ext)
         coords = lifted
@@ -152,9 +161,9 @@ def enumerate_fiber(
 ) -> list[FiberPoint]:
     """Every member jet over the singular point, with its contact profile.
 
-    The walk starts from the zero constant layer and visits only members
-    and their one-layer extensions; the guard is still charged for the full
-    p^(e(m+1)) space.  Points come sorted by coefficients, deterministically.
+    The walk starts from the zero constant layer and checks one extension
+    per member, keeping all p^e or none; the guard is still charged for the
+    full p^(e(m+1)) space.  Points come sorted by coefficients.
     """
     jets = _enumerate_members(surface, config, [((0,),) * surface.e], jobs)
     out = []

@@ -34,13 +34,16 @@ from conftest import coprime_family
 
 FAMILY = coprime_family(30)
 
-# ((p, q), characteristic, largest m): e = 4, 5 and 6, each within the guard
+# ((p, q), characteristic, largest m): e = 4 to 8, each within the guard
 ORACLE_GRID = [
     *((pq, ch, mtop) for pq in [(2, 3), (3, 5), (2, 5)] for ch, mtop in [(2, 3), (3, 2)]),
     ((5, 7), 2, 3),
     ((5, 7), 3, 2),
+    ((5, 7), 5, 1),
     ((7, 9), 2, 3),
     ((7, 9), 3, 1),
+    ((19, 30), 2, 2),
+    ((15, 34), 2, 2),
 ]
 
 _ORACLE: dict = {}
@@ -163,7 +166,7 @@ def test_criterion_5_oracle_hard_checks():
     t0 = time.monotonic()
     try:
         runs = _oracle_matrix()
-        assert len(runs) == 24
+        assert len(runs) == 29
         for surf, ch, m, fiber, propagation, strata, coverage in runs:
             key = (surf.p, surf.q, ch, m)
             assert propagation, key

@@ -7,6 +7,7 @@ from toricjets import (
     generators,
     grading_check,
 )
+from conftest import coprime_family
 
 
 def _minus_table(surface):
@@ -88,6 +89,16 @@ def test_grading_identity(family30):
     for surf in family30:
         for eq in generators(surf):
             assert grading_check(surf, eq)
+
+
+def test_every_monomial_has_degree_at_least_two():
+    # The oracle's lifting walk over the origin checks one child per member:
+    # with every coordinate of order >= 1, a monomial of degree >= 2 puts
+    # the newest coefficient layer k only into degrees above k.
+    for surf in coprime_family(60):
+        for eq in generators(surf):
+            assert sum(eq.plus_exponents) >= 2, (surf.p, surf.q, eq.i, eq.j)
+            assert sum(eq.minus_exponents) >= 2, (surf.p, surf.q, eq.i, eq.j)
 
 
 def test_binomial_equation_validation():

@@ -158,6 +158,68 @@ def test_odometer_check_catches_a_missing_sort(monkeypatch):
         _check_against_odometer(monkeypatch, 3, 5, 2, 2)
 
 
+def _per_child_levels(surface, field, m):
+    """Reference: the lifting walk without the origin shortcut, one
+    is_member call per child, from the empty rows.  Returns the sorted
+    members of every level 0..m over the full space."""
+    layers = list(itertools.product(field.elements(), repeat=surface.e))
+    coords = [((),) * surface.e]
+    levels = []
+    for k in range(m + 1):
+        lifted = []
+        for rows in coords:
+            for layer in layers:
+                ext = tuple(row + (c,) for row, c in zip(rows, layer))
+                if is_member(TruncatedJet(field, k, ext), surface):
+                    lifted.append(ext)
+        coords = lifted
+        levels.append(sorted(coords))
+    return levels
+
+
+def _check_shortcut_against_per_child(p, q, ch, mtop):
+    surf = ToricSurface.from_pair(p, q)
+    field = prime_field(ch)
+    e = surf.e
+    for k, members in enumerate(_per_child_levels(surf, field, mtop)):
+        key = (p, q, ch, k)
+        assert sorted(oracle._lift(surf, field, k, [((),) * e])) == members, key
+        over_origin = [rows for rows in members if not any(row[0] for row in rows)]
+        assert sorted(oracle._lift(surf, field, k, [((0,),) * e])) == over_origin, key
+
+
+# beyond the odometer's reach: e = 5 (the bench's (5,12) cell), 6 and 7
+SHORTCUT_CELLS = [(5, 12, 3, 2), (5, 7, 3, 2), (7, 9, 2, 3), (19, 30, 2, 2)]
+
+
+@pytest.mark.parametrize("p,q,ch,mtop", SHORTCUT_CELLS)
+def test_origin_shortcut_matches_per_child_lift(p, q, ch, mtop):
+    _check_shortcut_against_per_child(p, q, ch, mtop)
+
+
+def test_shortcut_check_catches_a_shortcut_off_the_origin(monkeypatch):
+    # every node counts as over the origin: one check decides all children
+    monkeypatch.setattr(oracle, "any", lambda _: False, raising=False)
+    with pytest.raises(AssertionError):
+        _check_shortcut_against_per_child(19, 30, 2, 2)
+
+
+def test_fiber_walk_checks_one_child_per_member(monkeypatch):
+    # the bench's e = 5 cell: 244 checks, where child by child made 59,292
+    surf = ToricSurface.from_pair(5, 12)
+    below = len(enumerate_fiber(surf, OracleConfig(3, 1)))
+    calls = []
+    real = oracle.is_member
+
+    def spy(jet, surface):
+        calls.append(jet.m)
+        return real(jet, surface)
+
+    monkeypatch.setattr(oracle, "is_member", spy)
+    assert len(enumerate_fiber(surf, OracleConfig(3, 2))) == 5103
+    assert calls == [1] + [2] * below
+
+
 def test_stratum_counts_frozen_2_3():
     surf = ToricSurface.from_pair(2, 3)
     stats = stratum_counts(surf, OracleConfig(3, 1))
