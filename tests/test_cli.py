@@ -3,12 +3,13 @@ import random
 import re
 import subprocess
 import sys
+import time
 from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
-from toricjets import ToricSurface
+from toricjets import ABOVE_M, FiberPoint, ToricSurface, cli, components, oracle
 from toricjets.cli import _analyze_doc, _canonical_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -29,8 +30,11 @@ GOLDEN_OUTPUTS = [
         for fmt in ("json", "md", "csv")
     ),
     *(
-        (f"verify_p2_q3_m1_f3.{fmt}",
-         ["verify", "--p", "2", "--q", "3", "--m", "1", "--field", "3", "--format", fmt])
+        (f"verify_p{p}_q{q}_m{m}_f{f}.{fmt}",
+         ["verify", "--p", str(p), "--q", str(q), "--m", str(m), "--field", str(f),
+          "--format", fmt])
+        # (5,7): e = 5, an s = 2 propagation check, 7 strata, 768 closure points
+        for p, q, m, f in [(2, 3, 1, 3), (5, 7, 3, 2)]
         for fmt in ("json", "md", "csv")
     ),
 ]
@@ -296,6 +300,88 @@ def test_verify_rejects_composite_field(capsys):
                                  "--field", "6"])
     assert code == 2
     assert "prime" in err
+
+
+def test_verify_refuses_before_the_symbolic_suite(capsys, monkeypatch):
+    def generators(surface):
+        raise AssertionError("the symbolic suite ran before the refusal")
+
+    monkeypatch.setattr(cli, "generators", generators)
+    t0 = time.monotonic()
+    code, out, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "3000",
+                                   "--field", "2"])
+    assert code == 3 and out == ""
+    assert "raise the guard" in err
+    code, out, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "3000",
+                                   "--field", "4"])
+    assert code == 2 and out == ""
+    assert "prime" in err
+    assert time.monotonic() - t0 < 0.5
+
+
+# e = 5 with an s = 2 stratum check; every check passes unplanted (see the golden)
+VERIFY_5_7 = ["verify", "--p", "5", "--q", "7", "--m", "3", "--field", "2",
+              "--format", "json"]
+
+
+def _failed_checks(capsys):
+    code, out, _ = _run(capsys, VERIFY_5_7)
+    failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] != "pass"]
+    return code, failed
+
+
+def _plant_in_fiber(monkeypatch, edit):
+    """verify's fiber goes through edit(points) before it is classified."""
+    real = cli.enumerate_fiber
+
+    def planted(surface, config, jobs=1):
+        points = real(surface, config, jobs=jobs)
+        edit(points)
+        return points
+
+    monkeypatch.setattr(cli, "enumerate_fiber", planted)
+
+
+def test_stratum_min_order_catches_an_order_below_s(capsys, monkeypatch):
+    def edit(points):
+        # a point of stratum (2,2,2): ord x2 = ord x3 = 2; x1 is in no key
+        idx = next(k for k, fp in enumerate(points) if fp.profile[1:3] == (2, 2))
+        jet, profile = points[idx]
+        points[idx] = FiberPoint(jet, (1,) + profile[1:])
+
+    _plant_in_fiber(monkeypatch, edit)
+    assert _failed_checks(capsys) == (1, ["stratum_min_order"])
+
+
+def test_stratum_disjoint_catches_a_repeated_label(capsys, monkeypatch):
+    real = oracle.valid_labels
+    monkeypatch.setattr(oracle, "valid_labels", lambda surface, m: (
+        real(surface, m) + real(surface, m)[:1]))
+    assert _failed_checks(capsys) == (1, ["stratum_disjoint"])
+
+
+def test_no_impossible_profiles_catches_one(capsys, monkeypatch):
+    def edit(points):
+        # the zero jet is a closure point; give it ord x2 = 1, ord x3 = 2:
+        # l = 2 > (c_2 - 1) * 1 with c_2 * 1 = 2 <= m, and (2,1,2) is no label
+        jet, profile = points[0]
+        assert profile == (ABOVE_M,) * 5
+        points[0] = FiberPoint(jet, (ABOVE_M, 1, 2, ABOVE_M, ABOVE_M))
+
+    _plant_in_fiber(monkeypatch, edit)
+    assert _failed_checks(capsys) == (1, ["no_impossible_profiles"])
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_verify_catches_a_cap_off_by_one(capsys, monkeypatch, off):
+    real = components.m_cap
+    monkeypatch.setattr(components, "m_cap", lambda surface, i, s, m: (
+        real(surface, i, s, m) + off))
+    code, failed = _failed_checks(capsys)
+    # a cap read by valid_labels and enumerate_classes, not by the closed form
+    assert code == 1 and "count_agreement" in failed
+    # +1 names labels beyond the cap, whose contact vectors leave the cone
+    assert ("monomial_arc_witnesses" in failed) == (off == 1)
 
 
 def test_verify_jobs_flag(capsys):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricjets import (
     ConePair,
@@ -55,6 +56,33 @@ def test_hj_evaluate_inverts_expand():
             except EmbeddingDimensionError:
                 continue
             assert hj_evaluate(cf) == (q, p)
+
+
+# coprime 2 <= p < q <= 10^4: p >= 2 keeps the expansion at two entries or more
+COPRIME_PAIRS = st.integers(3, 10**4).flatmap(
+    lambda q: st.tuples(st.integers(2, q - 1), st.just(q))
+).filter(lambda pq: math.gcd(*pq) == 1)
+
+# bounded and deterministic: the properties stay a fixed, small part of tier-1
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(COPRIME_PAIRS, st.lists(st.integers(2, 40), min_size=2, max_size=8))
+def test_hj_round_trip_property(pq, entries):
+    p, q = pq
+    assert hj_evaluate(hj_expand(ConePair(p, q))) == (q, p)
+    q2, p2 = hj_evaluate(entries)
+    assert hj_expand(ConePair(p2, q2)).entries == tuple(entries)
+
+
+@PROPERTY
+@given(COPRIME_PAIRS)
+def test_exceptional_counts_agree_property(pq):
+    cone = ConePair(*pq)
+    n = exceptional_count_dual_cf(cone)
+    assert n == exceptional_count_hull(cone)
+    assert n == 1 + sum(c - 2 for c in hj_expand(cone).entries)
 
 
 def test_hj_evaluate_single_entry_and_validation():

@@ -17,7 +17,6 @@ from toricjets import (
     monomial_arc,
     prime_field,
     required_budget,
-    stratum_counts,
 )
 
 
@@ -220,19 +219,23 @@ def test_fiber_walk_checks_one_child_per_member(monkeypatch):
     assert calls == [1] + [2] * below
 
 
+def _coverage(surf, cfg):
+    return coverage_spot_check(surf, cfg, enumerate_fiber(surf, cfg))
+
+
 def test_stratum_counts_frozen_2_3():
     surf = ToricSurface.from_pair(2, 3)
-    stats = stratum_counts(surf, OracleConfig(3, 1))
+    stats = _coverage(surf, OracleConfig(3, 1)).strata
     assert [(st.label, st.point_count, st.predicted_count) for st in stats] == [
         ((2, 1, 1), 36, 36),
         ((3, 1, 1), 36, 36),
     ]
-    assert all(st.all_orders_ge_s and st.min_order_is_s for st in stats)
+    assert all(st.all_orders_ge_s for st in stats)
 
 
 def test_stratum_counts_frozen_3_5():
     surf = ToricSurface.from_pair(3, 5)
-    stats = stratum_counts(surf, OracleConfig(2, 2))
+    stats = _coverage(surf, OracleConfig(2, 2)).strata
     assert [(st.label, st.point_count, st.predicted_count) for st in stats] == [
         ((2, 1, 1), 16, 16),
         ((3, 1, 1), 16, 16),
@@ -240,18 +243,9 @@ def test_stratum_counts_frozen_3_5():
     ]
 
 
-def test_stratum_counts_reuse_points():
-    surf = ToricSurface.from_pair(3, 5)
-    cfg = OracleConfig(2, 2)
-    points = enumerate_fiber(surf, cfg)
-    direct = stratum_counts(surf, cfg)
-    reused = stratum_counts(surf, cfg, points=points)
-    assert direct == reused
-
-
 def test_coverage_frozen():
     surf = ToricSurface.from_pair(3, 5)
-    cov = coverage_spot_check(surf, OracleConfig(2, 2))
+    cov = _coverage(surf, OracleConfig(2, 2))
     assert cov.total_points == 96
     # strata of the identified labels (2,1,1) and (3,1,2) share 8 points,
     # so the union is 40, not 48
@@ -259,13 +253,13 @@ def test_coverage_frozen():
     assert cov.closure_points == 56
     assert cov.impossible_profiles == ()
     assert cov.disjoint
-    assert cov.per_label == (((2, 1, 1), 16), ((3, 1, 1), 16), ((3, 1, 2), 16))
+    assert [(st.label, st.point_count) for st in cov.strata] == [
+        ((2, 1, 1), 16), ((3, 1, 1), 16), ((3, 1, 2), 16)]
 
 
 def test_coverage_counts_every_point_once():
     surf = ToricSurface.from_pair(2, 5)
-    cfg = OracleConfig(3, 2)
-    cov = coverage_spot_check(surf, cfg)
+    cov = _coverage(surf, OracleConfig(3, 2))
     assert cov.stratum_points + cov.closure_points == cov.total_points == 1215
     assert not cov.impossible_profiles
 
