@@ -244,20 +244,19 @@ def _verify_doc(surface: ToricSurface, args) -> dict:
     check("grading", ok, f"{len(eqs)} generators checked")
 
     labels = valid_labels(surface, m)
-    witness_ok = True
+    realized = 0
     for (i, s, l) in labels:
         v, inside = contact_vector(surface, i, s, l)
         if not inside:  # a label beyond its cap: monomial_arc refuses v
-            witness_ok = False
             continue
         try:
             profile, over = contact_profile(monomial_arc(surface, v, m), surface)
         except NonMemberError:
-            witness_ok = False
             continue
-        if not over or profile[i - 1] != s or profile[i] != l:
-            witness_ok = False
-    check("monomial_arc_witnesses", witness_ok, f"{len(labels)} labels realized")
+        realized += over and profile[i - 1] == s and profile[i] == l
+    ok = realized == len(labels)
+    of = "" if ok else f" of {len(labels)}"
+    check("monomial_arc_witnesses", ok, f"{realized}{of} labels realized")
 
     n_enum = len(enumerate_classes(surface, m))
     n_formula = count_closed_form(surface, m)
@@ -278,7 +277,8 @@ def _verify_doc(surface: ToricSurface, args) -> dict:
     strata = coverage.strata
     check(
         "stratum_nonempty",
-        all(st.point_count >= 1 for st in strata),
+        # every surface has the labels (i, 1, 1), so no strata is a fault too
+        bool(strata) and all(st.point_count >= 1 for st in strata),
         f"{len(strata)} strata",
     )
     check(

@@ -6,7 +6,8 @@ products are truncated convolutions computed on the sparse support, which
 makes monomial arcs (single-term coordinates) cheap to test for membership.
 Membership walks the binomials of equations.minus_walk: for a fixed i the
 minus monomials are one running product, grown by one factor per equation,
-so a check costs O(e^2) sparse products rather than O(e^3).
+so a check costs O(e^2) sparse products rather than O(e^3).  The same walk
+gives the top coefficients that the oracle's lifting solves against.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ def coordinate_order(jet: TruncatedJet, j: int):
     return ABOVE_M
 
 
-def _sparse_rows(jet: TruncatedJet) -> list[tuple]:
+def _sparse_rows(coords) -> list[tuple]:
     """Each coordinate as its nonzero (degree, coefficient) pairs, degree ascending."""
-    return [tuple((d, c) for d, c in enumerate(row) if c) for row in jet.coords]
+    return [tuple((d, c) for d, c in enumerate(row) if c) for row in coords]
 
 
 _ONE = ((0, 1),)  # the constant series 1, a valid seed in every characteristic
@@ -191,7 +192,7 @@ def evaluate(eq: BinomialEquation, jet: TruncatedJet) -> tuple:
             f"equation has {len(eq.plus_exponents)} variables, jet has {jet.e}"
         )
     m = jet.m
-    rows = _sparse_rows(jet)
+    rows = _sparse_rows(jet.coords)
     out = [0] * (m + 1)
     for sign, exponents in ((1, eq.plus_exponents), (-1, eq.minus_exponents)):
         acc = _ONE
@@ -202,19 +203,19 @@ def evaluate(eq: BinomialEquation, jet: TruncatedJet) -> tuple:
     return tuple(out)
 
 
-def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
-    """True iff every defining binomial vanishes along the jet mod t^(m+1).
+def _binomial_differences(rows, m: int, surface: ToricSurface):
+    """Yield ((i, j), plus, minus) for each binomial whose sides differ along rows.
 
-    The binomials come from minus_walk: for each i the minus monomials are
-    one running product times one closing factor, so each binomial costs a
-    bounded number of sparse products and a call is O(e^2), not O(e^3).  A
-    running product that has truncated to zero stays zero for that i.
+    The binomials come in minus_walk order; plus and minus are the sparse
+    terms of the two monomials of binomial (i, j), past t^m dropped, and
+    rows are sparse as from _sparse_rows.  A binomial whose sides have equal
+    term lists vanishes without any reduction and is skipped.  For each i
+    the minus monomials are one running product times one closing factor, so
+    each binomial costs a bounded number of sparse products and the walk is
+    O(e^2), not O(e^3); a running product that has truncated to zero stays
+    zero for that i.  This is the one loop over the binomials: is_member and
+    _top_coefficients both read it.
     """
-    if jet.e != surface.e:
-        raise InputRangeError(f"surface has {surface.e} coordinates, jet has {jet.e}")
-    rows = _sparse_rows(jet)
-    m = jet.m
-    is_zero = jet.field.is_zero
     running = _ONE
     for i, j, grow, (k, a) in minus_walk(surface):
         if grow is None:
@@ -223,14 +224,35 @@ def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
             running = _times_power(running, rows[grow[0] - 1], grow[1], m)
         plus = _times_power(rows[i - 1], rows[j - 1], 1, m)
         minus = _times_power(running, rows[k - 1], a, m)
-        if plus != minus:  # equal term lists need no reduction
-            diff = dict(plus)
-            for d, c in minus:
-                diff[d] = diff.get(d, 0) - c
-            for c in diff.values():
-                if not is_zero(c):
-                    return False
+        if plus != minus:
+            yield (i, j), plus, minus
+
+
+def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
+    """True iff every defining binomial vanishes along the jet mod t^(m+1)."""
+    if jet.e != surface.e:
+        raise InputRangeError(f"surface has {surface.e} coordinates, jet has {jet.e}")
+    is_zero = jet.field.is_zero
+    for _, plus, minus in _binomial_differences(_sparse_rows(jet.coords), jet.m, surface):
+        diff = dict(plus)
+        for d, c in minus:
+            diff[d] = diff.get(d, 0) - c
+        for c in diff.values():
+            if not is_zero(c):
+                return False
     return True
+
+
+def _top_coefficients(coords, m: int, surface: ToricSurface) -> dict:
+    """The t^m coefficient of each binomial (i, j) along coords, keyed by (i, j).
+
+    Rows may stop below t^m; missing coefficients are zero.  A binomial left
+    out has coefficient zero; values are unreduced, as from evaluate.
+    """
+    return {
+        ij: sum(c for d, c in plus if d == m) - sum(c for d, c in minus if d == m)
+        for ij, plus, minus in _binomial_differences(_sparse_rows(coords), m, surface)
+    }
 
 
 def truncate(jet: TruncatedJet, m_target: int) -> TruncatedJet:

@@ -5,11 +5,14 @@ at desk scale and checks the classification lemmas point by point:
 membership, the fiber over the singular point, order propagation, and, in
 one pass over the fiber, stratum sizes, minimum orders and impossible
 profiles.  The members are found by lifting: those at level d are the
-members at level d-1 extended by one coefficient layer, so only members and
-their one-layer extensions are visited, and over the origin one check
-decides all p^e extensions of a member.  Point counts over F_p are heuristic
-evidence for dimensions and are reported as experimental; the boolean lemma
-checks are hard.
+members at level d-1 extended by one coefficient layer.  Above the constant
+layer the extensions of a member form an affine space over the Zariski
+tangent space at its constant layer, or are empty (Mustata, Invent. Math.
+2001), so each member costs one residual evaluation and one linear solve
+mod p; over the origin the tangent condition is void and the extensions are
+all p^e layers or none.  Point counts over F_p are heuristic evidence for
+dimensions and are reported as experimental; the boolean lemma checks are
+hard.
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
 from .errors import GuardExceededError, InputRangeError
-from .jets import ABOVE_M, TruncatedJet, coordinate_order, is_member, prime_field
+from .equations import generators
+from .jets import ABOVE_M, TruncatedJet, _top_coefficients, is_member, prime_field
 from .lattice import ToricSurface
 
 DEFAULT_GUARD = 1 << 26
@@ -104,44 +109,129 @@ def _check_guard(surface: ToricSurface, config: OracleConfig) -> None:
         )
 
 
+def _jacobian(eqs, x0, p: int) -> dict:
+    """d/dx of each binomial x_i x_j - x^b at the constant layer x0, mod p.
+
+    Maps (i, j) to the binomial's row, one column per coordinate.
+    """
+    rows = {}
+    for eq in eqs:
+        row = [0] * len(x0)
+        for sign, expo in ((1, eq.plus_exponents), (-1, eq.minus_exponents)):
+            for l, a in enumerate(expo):
+                if a:
+                    term = sign * a * x0[l] ** (a - 1)
+                    for k, b in enumerate(expo):
+                        if b and k != l:
+                            term *= x0[k] ** b
+                    row[l] += term
+        rows[eq.i, eq.j] = [x % p for x in row]
+    return rows
+
+
+def _tangent_solver(jac, p: int, e: int):
+    """solve(r): every layer a in F_p^e with jac . a = -r (mod p).
+
+    jac maps row keys to rows, and r maps row keys to values, a missing key
+    being zero.  Gauss-Jordan on [jac | I] brings jac to reduced row echelon
+    form E = T jac, once per matrix.  A right-hand side then costs T . (-r):
+    rows past the rank must vanish, and the pivot coordinates of a
+    particular solution are read off the rest.  The kernel, one layer per
+    assignment of the e - rank free coordinates, is listed once and shifted
+    by it.
+    """
+    keys = list(jac)
+    n = len(keys)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(jac.values())]
+    pivots = []
+    for col in range(e):
+        r = len(pivots)
+        src = next((i for i in range(r, n) if aug[i][col]), None)
+        if src is None:
+            continue
+        aug[r], aug[src] = aug[src], aug[r]
+        inv = pow(aug[r][col], -1, p)
+        aug[r] = [x * inv % p for x in aug[r]]
+        for i in range(n):
+            f = aug[i][col]
+            if f and i != r:
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+    rank = len(pivots)
+    free = [col for col in range(e) if col not in pivots]
+    kernel = []
+    for values in itertools.product(range(p), repeat=len(free)):
+        a = [0] * e
+        for col, v in zip(free, values):
+            a[col] = v
+        for row, col in zip(aug, pivots):
+            a[col] = -sum(row[f] * a[f] for f in free) % p
+        kernel.append(tuple(a))
+    transform = [[(keys[j], t) for j, t in enumerate(row[e:]) if t] for row in aug]
+
+    def solve(r):
+        b = [-sum(t * r.get(key, 0) for key, t in row) % p for row in transform]
+        if any(b[rank:]):
+            return []
+        if not any(b):
+            return kernel
+        shift = [0] * e
+        for col, v in zip(pivots, b):
+            shift[col] = v
+        return [tuple((x + y) % p for x, y in zip(a, shift)) for a in kernel]
+
+    return solve
+
+
 def _lift(surface, field, m, coords):
     """Coordinate rows of the member jets at level m above the given members.
 
     coords holds the rows of members of one level k < m, or empty rows
-    (k = -1).  Each round extends every member by the p^e coefficient layers
-    of the next degree and keeps the members among them; a truncation of a
-    member is a member, so none is missed.  Over the origin (constant layer
-    zero, k >= 1) every order is >= 1 and every binomial monomial has degree
-    >= 2, so the t^k coefficients read only layers 1..k-1: the child with a
-    zero layer k is checked and stands for all p^e children.
+    (k = -1).  A truncation of a member is a member, so lifting the members
+    one layer at a time misses none.  The constant layer is nonlinear: each
+    of its p^e choices is checked with is_member.  Above it the fiber is
+    affine, modelled on the tangent space at the constant layer: write x for
+    a level k-1 member padded with a zero layer k >= 1.  Along x + a t^k the
+    t^k coefficient of each binomial is r(x) + J(x_0) a, with r(x) its t^k
+    coefficient along x and J(x_0) the Jacobian at the constant layer, since
+    every term of degree >= 2 in a lands at t^(2k) or above; the lower
+    coefficients are those along the member x, all zero.  So the member
+    children are the solutions of J(x_0) a = -r(x) mod p: one residual per
+    node, and one elimination per distinct constant layer.  Over the origin
+    J = 0, because every binomial monomial has degree >= 2: all p^e children
+    or none, the rank-0 case.
     """
-    layers = list(itertools.product(field.elements(), repeat=surface.e))
+    p, e = field.characteristic, surface.e
+    if not coords[0][0]:  # the constant layer, child by child
+        starts = (tuple((c,) for c in x0) for x0 in itertools.product(range(p), repeat=e))
+        coords = [rows for rows in starts
+                  if is_member(TruncatedJet(field, 0, rows), surface)]
+    eqs = generators(surface)
+    solvers = {}
     for k in range(len(coords[0][0]), m + 1):
         lifted = []
         for rows in coords:
-            exts = (tuple(r + (c,) for r, c in zip(rows, layer)) for layer in layers)
-            if k and not any(row[0] for row in rows):
-                zero = next(exts)  # the layers start at (0,) * e
-                if is_member(TruncatedJet(field, k, zero), surface):
-                    lifted += [zero, *exts]
-                continue
-            for ext in exts:
-                if is_member(TruncatedJet(field, k, ext), surface):
-                    lifted.append(ext)
+            x0 = tuple(row[0] for row in rows)
+            solve = solvers.get(x0)
+            if solve is None:
+                solve = solvers[x0] = _tangent_solver(_jacobian(eqs, x0, p), p, e)
+            for layer in solve(_top_coefficients(rows, k, surface)):
+                lifted.append(tuple(row + (c,) for row, c in zip(rows, layer)))
         coords = lifted
     return coords
 
 
 def _enumerate_members(
     surface: ToricSurface, config: OracleConfig, start: list, jobs: int = 1
-) -> list[TruncatedJet]:
-    """All member jets at level m above the start members, sorted by coords.
+) -> list[tuple]:
+    """Coordinate rows of all member jets at level m above the start members, sorted.
 
-    Lexicographic order on coords is the order of an odometer over the
+    Lexicographic order on rows is the order of an odometer over the
     coefficients flattened coordinate by coordinate.  With jobs > 1 and
     m >= 2 the walk runs to level 1 here, and the subtrees of the level-1
     members go to a pool of at most one process per CPU and per subtree; the
-    sort makes the result independent of how the work was split.
+    sort makes the result independent of how the work was split.  Rows hold
+    residues reduced into 0..p-1.
     """
     _check_guard(surface, config)
     field = prime_field(config.characteristic)
@@ -154,7 +244,18 @@ def _enumerate_members(
         with ProcessPoolExecutor(max_workers=min(jobs, len(roots))) as pool:
             chunks = list(pool.map(subtree, ([rows] for rows in roots)))
         coords = [rows for chunk in chunks for rows in chunk]
-    return [TruncatedJet(field, config.m, rows) for rows in sorted(coords)]
+    return sorted(coords)
+
+
+class _Orders(dict):
+    """Row -> coordinate order, filled on first lookup.
+
+    Walk rows hold reduced residues, so c != 0 is the field's zero test.
+    """
+
+    def __missing__(self, row):
+        order = self[row] = next((b for b, c in enumerate(row) if c), ABOVE_M)
+        return order
 
 
 def enumerate_fiber(
@@ -162,16 +263,17 @@ def enumerate_fiber(
 ) -> list[FiberPoint]:
     """Every member jet over the singular point, with its contact profile.
 
-    The walk starts from the zero constant layer and checks one extension
-    per member, keeping all p^e or none; the guard is still charged for the
-    full p^(e(m+1)) space.  Points come sorted by coefficients.
+    The walk starts from the zero constant layer, where each member's
+    children are all p^e extensions or none; the guard is still charged for
+    the full p^(e(m+1)) space.  Points come sorted by coefficients.
     """
-    jets = _enumerate_members(surface, config, [((0,),) * surface.e], jobs)
-    out = []
-    for jet in jets:
-        profile = tuple(coordinate_order(jet, j) for j in range(1, surface.e + 1))
-        out.append(FiberPoint(jet, profile))
-    return out
+    members = _enumerate_members(surface, config, [((0,),) * surface.e], jobs)
+    field = prime_field(config.characteristic)
+    orders = _Orders()
+    return [
+        FiberPoint(TruncatedJet(field, config.m, rows), tuple(orders[row] for row in rows))
+        for rows in members
+    ]
 
 
 def check_order_propagation(
@@ -190,8 +292,9 @@ def check_order_propagation(
             f"order propagation needs m = 2s-1 = {2 * s - 1}, config has m={config.m}"
         )
     e = surface.e
-    for jet in _enumerate_members(surface, config, [((),) * e], jobs):
-        orders = [coordinate_order(jet, j) for j in range(1, e + 1)]
+    row_order = _Orders()
+    for rows in _enumerate_members(surface, config, [((),) * e], jobs):
+        orders = [row_order[row] for row in rows]
         if not any(orders[i - 1] == s and orders[i] == s for i in range(2, e)):
             continue
         for o in orders:
@@ -205,13 +308,14 @@ def coverage_spot_check(
 ) -> CoverageReport:
     """Classify every fiber point as a stratum point or a closure point.
 
-    One pass: each point has one key (i, ord x_i, ord x_{i+1}) per i in
+    One pass over the distinct profiles, each weighted by how many points
+    share it: a profile has one key (i, ord x_i, ord x_{i+1}) per i in
     2..e-1, so a dict of valid labels buckets it into at most one stratum
     per i, and the minimum of its finite orders is taken once.  A hit counts
-    the point in that stratum and clears all_orders_ge_s when the minimum is
-    below s.  The prediction (p-1)^2 p^(dim-2) models a stratum as a 2-torus
-    times an affine space; agreement is experimental evidence for the
-    dimension formula, not an identity enforced here.
+    its points in that stratum and clears all_orders_ge_s when the minimum
+    is below s.  The prediction (p-1)^2 p^(dim-2) models a stratum as a
+    2-torus times an affine space; agreement is experimental evidence for
+    the dimension formula, not an identity enforced here.
 
     Strata at a fixed i can overlap only through a label listed twice, so
     disjoint is exactly "valid_labels names no label twice".  Closure
@@ -227,24 +331,25 @@ def coverage_spot_check(
     counts = dict.fromkeys(labels, 0)
     ge = dict.fromkeys(labels, True)
     stratum_points = 0
-    impossible = []
-    for idx, (_, profile) in enumerate(points):
+    flagged = set()
+    for profile, n in Counter(profile for _, profile in points).items():
         keys = list(zip(range(2, e), profile[1:], profile[2:]))
         hits = [key for key in keys if key in counts]
         # None only for a deep closure point, all orders above m
         smin = min([o for o in profile if o is not ABOVE_M], default=None)
         for key in hits:
-            counts[key] += 1
+            counts[key] += n
             if smin < key[1]:
                 ge[key] = False
         if hits:
-            stratum_points += 1
+            stratum_points += n
         elif any(
             oi == smin and on is not ABOVE_M
             and on > (surface.c(i) - 1) * smin and surface.c(i) * smin <= m
             for i, oi, on in keys
         ):
-            impossible.append((idx, profile))
+            flagged.add(profile)
+    impossible = [(idx, pr) for idx, (_, pr) in enumerate(points) if pr in flagged]
     strata = tuple(
         StratumStats(
             label, counts[label],

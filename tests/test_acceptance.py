@@ -1,5 +1,5 @@
 """Contract-level acceptance checks, one test per criterion, and mutation
-checks showing that criteria 1 and 3 catch known-wrong formulas.
+checks showing that criteria 1, 3 and 8 catch known-wrong formulas.
 
 Every test prints a single [PASS]/[FAIL] line (run with -s to see them all)
 and enforces its runtime budget.  The exhaustive enumeration grid is shared
@@ -13,6 +13,7 @@ import pytest
 
 from toricjets import components
 from toricjets import (
+    DualBasis,
     OracleConfig,
     ToricSurface,
     check_order_propagation,
@@ -30,6 +31,8 @@ from toricjets import (
     exceptional_count_hull,
     generators,
     grading_check,
+    hj_expand,
+    m_cap,
     monomial_arc,
     valid_labels,
 )
@@ -237,12 +240,17 @@ def test_criterion_7_grading_identity():
     print(f"[PASS] criterion 7: {checked} generators are graded ({dt:.1f}s)")
 
 
+def _check_dual_basis(family):
+    """Criterion 8's comparison: the recursion against brute force."""
+    for surf in family:
+        assert dual_hilbert_basis(surf.cone) == dual_hilbert_basis_bruteforce(
+            surf.cone), (surf.p, surf.q)
+
+
 def test_criterion_8_dual_basis_oracle():
     t0 = time.monotonic()
     try:
-        for surf in FAMILY:
-            assert dual_hilbert_basis(surf.cone) == dual_hilbert_basis_bruteforce(
-                surf.cone), (surf.p, surf.q)
+        _check_dual_basis(FAMILY)
         dt = time.monotonic() - t0
         assert dt < 10.0, f"budget 10s exceeded: {dt:.1f}s"
     except BaseException:
@@ -275,6 +283,30 @@ def _count_closed_form_branches_swapped(surface, m):
     return total
 
 
+def _enumerate_classes_glued_to_i_plus_2(surface, m):
+    """Each (i, s, s) glued to (i+2, s, m_{i+2}^s) instead of index i+1."""
+    classes = []
+    for s in range(1, (m + 1) // 2 + 1):
+        owner = {label: {label} for label in valid_labels(surface, m) if label[1] == s}
+        for i in range(2, surface.e - 2):
+            a = owner[(i, s, s)]
+            b = owner[(i + 2, s, m_cap(surface, i + 2, s, m))]
+            if a is not b:
+                a |= b
+                owner.update(dict.fromkeys(b, a))
+        classes += {id(cl): tuple(sorted(cl)) for cl in owner.values()}.values()
+    return classes
+
+
+def _dual_hilbert_basis_coefficients_reversed(cone):
+    """u_{k+1} = c u_k - u_{k-1} with c read from the mirrored position."""
+    us = [(0, 1), (1, 0)]
+    for c in reversed(hj_expand(cone).entries):
+        a, b = us[-2], us[-1]
+        us.append((c * b[0] - a[0], c * b[1] - a[1]))
+    return DualBasis(tuple(us))
+
+
 def test_criterion_3_catches_a_negated_slack_term(monkeypatch):
     _check_codimension_identities(coprime_family(12))
     monkeypatch.setitem(globals(), "codimension", _codimension_slack_negated)
@@ -289,3 +321,20 @@ def test_criterion_1_catches_swapped_count_branches(monkeypatch):
     monkeypatch.setitem(globals(), "count_closed_form", _count_closed_form_branches_swapped)
     with pytest.raises(AssertionError):
         _check_count_formula(family)
+
+
+def test_criterion_1_catches_a_gluing_to_i_plus_2(monkeypatch):
+    family = coprime_family(12)
+    _check_count_formula(family)
+    monkeypatch.setitem(globals(), "enumerate_classes", _enumerate_classes_glued_to_i_plus_2)
+    with pytest.raises(AssertionError):
+        _check_count_formula(family)
+
+
+def test_criterion_8_catches_a_wrong_recursion_coefficient(monkeypatch):
+    family = coprime_family(12)
+    _check_dual_basis(family)
+    monkeypatch.setitem(
+        globals(), "dual_hilbert_basis", _dual_hilbert_basis_coefficients_reversed)
+    with pytest.raises(AssertionError):
+        _check_dual_basis(family)

@@ -372,16 +372,40 @@ def test_no_impossible_profiles_catches_one(capsys, monkeypatch):
     assert _failed_checks(capsys) == (1, ["no_impossible_profiles"])
 
 
-@pytest.mark.parametrize("off", [1, -1])
-def test_verify_catches_a_cap_off_by_one(capsys, monkeypatch, off):
+def _plant_cap_off_by(monkeypatch, off):
     real = components.m_cap
     monkeypatch.setattr(components, "m_cap", lambda surface, i, s, m: (
         real(surface, i, s, m) + off))
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_verify_catches_a_cap_off_by_one(capsys, monkeypatch, off):
+    _plant_cap_off_by(monkeypatch, off)
     code, failed = _failed_checks(capsys)
     # a cap read by valid_labels and enumerate_classes, not by the closed form
     assert code == 1 and "count_agreement" in failed
     # +1 names labels beyond the cap, whose contact vectors leave the cone
     assert ("monomial_arc_witnesses" in failed) == (off == 1)
+
+
+def test_stratum_nonempty_catches_no_strata(capsys, monkeypatch):
+    # at m = 1 every cap is 1; one lower leaves no valid label at all
+    _plant_cap_off_by(monkeypatch, -1)
+    code, out, _ = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
+                                 "--field", "3", "--format", "json"])
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert checks["stratum_nonempty"]["status"] == "fail"
+    assert checks["stratum_nonempty"]["detail"] == "0 strata"
+
+
+def test_witness_detail_counts_the_realized_labels(capsys, monkeypatch):
+    _plant_cap_off_by(monkeypatch, 1)
+    code, out, _ = _run(capsys, VERIFY_5_7)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert checks["monomial_arc_witnesses"]["status"] == "fail"
+    assert checks["monomial_arc_witnesses"]["detail"] == "9 of 13 labels realized"
 
 
 def test_verify_jobs_flag(capsys):

@@ -111,9 +111,9 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
         real = oracle._enumerate_members
 
         def spy(*args):
-            jets = real(*args)
-            walked.extend(jet.coords for jet in jets)
-            return jets
+            rows = real(*args)
+            walked.extend(rows)
+            return rows
 
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_enumerate_members", spy)
@@ -135,17 +135,23 @@ def test_lifting_walk_matches_the_odometer(monkeypatch, p, q, ch, m):
 
 
 def test_odometer_check_catches_a_kept_non_member(monkeypatch):
-    real = oracle.is_member
+    # the first node without member children gets its zero layer anyway
+    real = oracle._tangent_solver
     kept = []
 
-    def leaky(jet, surface):
-        ok = real(jet, surface)
-        if not ok and not kept:
-            kept.append(jet)
-            return True
-        return ok
+    def leaky(jac, p, e):
+        solve = real(jac, p, e)
 
-    monkeypatch.setattr(oracle, "is_member", leaky)
+        def planted(r):
+            layers = solve(r)
+            if not layers and not kept:
+                kept.append(r)
+                return [(0,) * e]
+            return layers
+
+        return planted
+
+    monkeypatch.setattr(oracle, "_tangent_solver", leaky)
     with pytest.raises(AssertionError):
         _check_against_odometer(monkeypatch, 3, 5, 2, 2)
     assert kept
@@ -158,9 +164,9 @@ def test_odometer_check_catches_a_missing_sort(monkeypatch):
 
 
 def _per_child_levels(surface, field, m):
-    """Reference: the lifting walk without the origin shortcut, one
-    is_member call per child, from the empty rows.  Returns the sorted
-    members of every level 0..m over the full space."""
+    """Reference: the lifting walk with one is_member call per child and no
+    tangent-space solve, from the empty rows.  Returns the sorted members of
+    every level 0..m over the full space."""
     layers = list(itertools.product(field.elements(), repeat=surface.e))
     coords = [((),) * surface.e]
     levels = []
@@ -187,8 +193,9 @@ def _check_shortcut_against_per_child(p, q, ch, mtop):
         assert sorted(oracle._lift(surf, field, k, [((0,),) * e])) == over_origin, key
 
 
-# beyond the odometer's reach: e = 5 (the bench's (5,12) cell), 6 and 7
-SHORTCUT_CELLS = [(5, 12, 3, 2), (5, 7, 3, 2), (7, 9, 2, 3), (19, 30, 2, 2)]
+# beyond the odometer's reach: e = 5 (the bench's (5,12) cell), 6 and 7; and
+# F_5, the smallest field where a nonzero pivot need not be its own inverse
+SHORTCUT_CELLS = [(5, 12, 3, 2), (5, 7, 3, 2), (7, 9, 2, 3), (19, 30, 2, 2), (3, 5, 5, 1)]
 
 
 @pytest.mark.parametrize("p,q,ch,mtop", SHORTCUT_CELLS)
@@ -197,26 +204,43 @@ def test_origin_shortcut_matches_per_child_lift(p, q, ch, mtop):
 
 
 def test_shortcut_check_catches_a_shortcut_off_the_origin(monkeypatch):
-    # every node counts as over the origin: one check decides all children
-    monkeypatch.setattr(oracle, "any", lambda _: False, raising=False)
+    # every node treated as over the origin: J = 0, all children or none
+    monkeypatch.setattr(oracle, "_jacobian", lambda eqs, x0, p: {
+        (eq.i, eq.j): [0] * len(x0) for eq in eqs})
     with pytest.raises(AssertionError):
         _check_shortcut_against_per_child(19, 30, 2, 2)
 
 
+def test_per_child_check_catches_a_pivot_used_as_its_own_inverse(monkeypatch):
+    # over F_2 and F_3 every nonzero pivot is its own inverse, so only the
+    # F_5 cell can see this fault
+    monkeypatch.setattr(oracle, "pow", lambda x, _n, _p: x, raising=False)
+    with pytest.raises(AssertionError):
+        _check_shortcut_against_per_child(3, 5, 5, 1)
+
+
 def test_fiber_walk_checks_one_child_per_member(monkeypatch):
-    # the bench's e = 5 cell: 244 checks, where child by child made 59,292
+    # the bench's e = 5 cell: one residual per member below level 2 and no
+    # is_member call, where child by child made 59,292 checks
     surf = ToricSurface.from_pair(5, 12)
     below = len(enumerate_fiber(surf, OracleConfig(3, 1)))
-    calls = []
-    real = oracle.is_member
+    residuals, checks = [], []
+    real_residual, real_member = oracle._top_coefficients, oracle.is_member
 
-    def spy(jet, surface):
-        calls.append(jet.m)
-        return real(jet, surface)
+    def residual(coords, m, surface):
+        residuals.append(m)
+        return real_residual(coords, m, surface)
 
-    monkeypatch.setattr(oracle, "is_member", spy)
+    def member(jet, surface):
+        checks.append(jet.m)
+        return real_member(jet, surface)
+
+    monkeypatch.setattr(oracle, "_top_coefficients", residual)
+    monkeypatch.setattr(oracle, "is_member", member)
     assert len(enumerate_fiber(surf, OracleConfig(3, 2))) == 5103
-    assert calls == [1] + [2] * below
+    assert residuals == [1] + [2] * below
+    assert len(residuals) == 244
+    assert checks == []
 
 
 def _coverage(surf, cfg):
