@@ -1,18 +1,22 @@
 """Exhaustive finite-field verification of the component classification.
 
-Everything here enumerates every member jet of a level over a prime field
-at desk scale and checks the classification lemmas point by point:
+Everything here accounts for every member jet of a level over a prime field
+at desk scale and checks the classification lemmas on all of them:
 membership, the fiber over the singular point, order propagation, and, in
-one pass over the fiber, stratum sizes, minimum orders and impossible
-profiles.  The members are found by lifting: those at level d are the
-members at level d-1 extended by one coefficient layer.  Above the constant
-layer the extensions of a member form an affine space over the Zariski
-tangent space at its constant layer, or are empty (Mustata, Invent. Math.
-2001), so each member costs one residual evaluation and one linear solve
-mod p; over the origin the tangent condition is void and the extensions are
-all p^e layers or none.  Point counts over F_p are heuristic evidence for
-dimensions and are reported as experimental; the boolean lemma checks are
-hard.
+one pass over the fiber's order profiles, stratum sizes, minimum orders and
+impossible profiles.  The members are found by lifting: those at level d
+are the members at level d-1 extended by one coefficient layer.  Above the
+constant layer the extensions of a member form an affine space over the
+Zariski tangent space at its constant layer, or are empty (Mustata, Invent.
+Math. 2001), so each member costs one residual evaluation and one linear
+solve mod p; over the origin the tangent condition is void and the
+extensions are all p^e layers or none.  The checks solve the top layer
+rather than list it: fiber_profiles counts the children of each member one
+level down by their order profiles, and check_order_propagation reads the
+orders at s >= 2 from the parents, solving for children only where they
+would refute the lemma.  enumerate_fiber still lists every point.  Point
+counts over F_p are heuristic evidence for dimensions and are reported as
+experimental; the boolean lemma checks are hard.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import itertools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
@@ -79,11 +83,12 @@ class StratumStats(NamedTuple):
 class CoverageReport:
     """Classification of every fiber point into stratum or closure points.
 
-    impossible_profiles lists points whose order profile contradicts the
-    defining binomials (see coverage_spot_check); it is expected to be empty
-    and any entry is a hard failure.  strata carries one StratumStats per
-    valid label, in label order; disjoint records that strata at a fixed i
-    never overlap, which holds exactly when no label is listed twice.
+    impossible_profiles lists (profile, point count) pairs for the order
+    profiles that contradict the defining binomials (see
+    coverage_spot_check); it is expected to be empty and any entry is a hard
+    failure.  strata carries one StratumStats per valid label, in label
+    order; disjoint records that strata at a fixed i never overlap, which
+    holds exactly when no label is listed twice.
     """
 
     total_points: int
@@ -183,6 +188,18 @@ def _tangent_solver(jac, p: int, e: int):
     return solve
 
 
+class _Solvers(dict):
+    """Constant layer -> _tangent_solver of the Jacobian there, built on first lookup."""
+
+    def __init__(self, surface: ToricSurface, p: int):
+        super().__init__()
+        self.eqs, self.p, self.e = generators(surface), p, surface.e
+
+    def __missing__(self, x0):
+        solve = self[x0] = _tangent_solver(_jacobian(self.eqs, x0, self.p), self.p, self.e)
+        return solve
+
+
 def _lift(surface, field, m, coords):
     """Coordinate rows of the member jets at level m above the given members.
 
@@ -206,15 +223,11 @@ def _lift(surface, field, m, coords):
         starts = (tuple((c,) for c in x0) for x0 in itertools.product(range(p), repeat=e))
         coords = [rows for rows in starts
                   if is_member(TruncatedJet(field, 0, rows), surface)]
-    eqs = generators(surface)
-    solvers = {}
+    solvers = _Solvers(surface, p)
     for k in range(len(coords[0][0]), m + 1):
         lifted = []
         for rows in coords:
-            x0 = tuple(row[0] for row in rows)
-            solve = solvers.get(x0)
-            if solve is None:
-                solve = solvers[x0] = _tangent_solver(_jacobian(eqs, x0, p), p, e)
+            solve = solvers[tuple(row[0] for row in rows)]
             for layer in solve(_top_coefficients(rows, k, surface)):
                 lifted.append(tuple(row + (c,) for row, c in zip(rows, layer)))
         coords = lifted
@@ -276,14 +289,59 @@ def enumerate_fiber(
     ]
 
 
+def fiber_profiles(
+    surface: ToricSurface, config: OracleConfig, jobs: int = 1
+) -> Counter:
+    """Number of fiber points of each contact profile, without listing them.
+
+    Equals Counter(fp.profile for fp in enumerate_fiber(...)).  The guard is
+    charged for the full p^(e(m+1)) space; the walk over the origin then
+    stops at level m-1 and the top layer is solved.  Over the origin J = 0,
+    so a member x at level m-1 has all p^e layers as member children when
+    every t^m coefficient of the binomials along x vanishes mod p, and none
+    otherwise.  A child keeps the order of every nonzero row of x; a zero
+    row takes order m under each of the p-1 nonzero top coefficients and
+    stays above m under zero.  With O the zero rows of x, the profile with
+    order m on T within O and above m on the rest of O thus has
+    (p-1)^|T| p^(e-|O|) children.  Members are grouped by profile before
+    this is expanded.
+    """
+    _check_guard(surface, config)
+    e, m, p = surface.e, config.m, config.characteristic
+    if m == 0:
+        return Counter({(ABOVE_M,) * e: 1})
+    below = _enumerate_members(surface, replace(config, m=m - 1), [((0,),) * e], jobs)
+    orders = _Orders()
+    shapes = Counter(
+        tuple(orders[row] for row in rows)
+        for rows in below
+        if not any(c % p for c in _top_coefficients(rows, m, surface).values())
+    )
+    profiles = Counter()
+    for shape, n in shapes.items():
+        weight = n * p ** sum(o is not ABOVE_M for o in shape)
+        # orders at level m-1 are below m, so order m marks exactly T
+        choices = [(ABOVE_M, m) if o is ABOVE_M else (o,) for o in shape]
+        for profile in itertools.product(*choices):
+            profiles[profile] += weight * (p - 1) ** profile.count(m)
+    return profiles
+
+
 def check_order_propagation(
     surface: ToricSurface, config: OracleConfig, s: int, jobs: int = 1
 ) -> bool:
     """At m = 2s-1: members with ord x_i = ord x_{i+1} = s have all orders >= s.
 
-    Walks the members of the full space, constant terms included: the order
-    hypothesis can hold while some other coordinate is a unit, and exactly
-    those jets must fail membership for the claim to stand.
+    Covers the members of the full space, constant terms included: the
+    order hypothesis can hold while some other coordinate is a unit, and
+    exactly those jets must fail membership for the claim to stand.  The
+    guard is charged for the full p^(2es) space.  At s = 1 the order s is
+    the top layer itself, so the members at level 1 are walked and read.
+    At s >= 2 every order up to s lies below the top layer t^(2s-1), so a
+    member has its parent's orders wherever the claim looks: the walk stops
+    at level 2s-2, and only a parent that meets the hypothesis with a
+    finite order below s is solved for member children, any one of which
+    refutes the claim.
     """
     if s < 1:
         raise InputRangeError(f"s must be >= 1, got {s}")
@@ -291,31 +349,39 @@ def check_order_propagation(
         raise InputRangeError(
             f"order propagation needs m = 2s-1 = {2 * s - 1}, config has m={config.m}"
         )
+    _check_guard(surface, config)
     e = surface.e
+    walked = config if s == 1 else replace(config, m=config.m - 1)
+    solvers = _Solvers(surface, config.characteristic)
     row_order = _Orders()
-    for rows in _enumerate_members(surface, config, [((),) * e], jobs):
+    for rows in _enumerate_members(surface, walked, [((),) * e], jobs):
         orders = [row_order[row] for row in rows]
         if not any(orders[i - 1] == s and orders[i] == s for i in range(2, e)):
             continue
-        for o in orders:
-            if o is not ABOVE_M and o < s:
-                return False
+        if not any(o is not ABOVE_M and o < s for o in orders):
+            continue
+        if s == 1 or solvers[tuple(row[0] for row in rows)](
+            _top_coefficients(rows, config.m, surface)
+        ):
+            return False
     return True
 
 
 def coverage_spot_check(
-    surface: ToricSurface, config: OracleConfig, points: list[FiberPoint]
+    surface: ToricSurface, config: OracleConfig, profiles: Counter
 ) -> CoverageReport:
     """Classify every fiber point as a stratum point or a closure point.
 
-    One pass over the distinct profiles, each weighted by how many points
-    share it: a profile has one key (i, ord x_i, ord x_{i+1}) per i in
-    2..e-1, so a dict of valid labels buckets it into at most one stratum
-    per i, and the minimum of its finite orders is taken once.  A hit counts
-    its points in that stratum and clears all_orders_ge_s when the minimum
-    is below s.  The prediction (p-1)^2 p^(dim-2) models a stratum as a
-    2-torus times an affine space; agreement is experimental evidence for
-    the dimension formula, not an identity enforced here.
+    profiles maps each order profile of the fiber to its number of points,
+    as fiber_profiles returns it, so the points are classified one distinct
+    profile at a time, never one by one.  A profile has one key
+    (i, ord x_i, ord x_{i+1}) per i in 2..e-1, so a dict of valid labels
+    buckets it into at most one stratum per i, and the minimum of its finite
+    orders is taken once.  A hit counts its points in that stratum and
+    clears all_orders_ge_s when the minimum is below s.  The prediction
+    (p-1)^2 p^(dim-2) models a stratum as a 2-torus times an affine space;
+    agreement is experimental evidence for the dimension formula, not an
+    identity enforced here.
 
     Strata at a fixed i can overlap only through a label listed twice, so
     disjoint is exactly "valid_labels names no label twice".  Closure
@@ -325,14 +391,15 @@ def coverage_spot_check(
     l > (c_i - 1) s', while c_i s' <= m keeps the forcing coefficient of
     x_i^{c_i} inside the truncation; the binomial x_{i-1} x_{i+1} - x_i^{c_i}
     can then never vanish, so such a point would contradict membership.
+    Each is reported with its point count.
     """
     e, m, p = surface.e, config.m, config.characteristic
     labels = valid_labels(surface, m)
     counts = dict.fromkeys(labels, 0)
     ge = dict.fromkeys(labels, True)
     stratum_points = 0
-    flagged = set()
-    for profile, n in Counter(profile for _, profile in points).items():
+    impossible = []
+    for profile, n in profiles.items():
         keys = list(zip(range(2, e), profile[1:], profile[2:]))
         hits = [key for key in keys if key in counts]
         # None only for a deep closure point, all orders above m
@@ -348,8 +415,7 @@ def coverage_spot_check(
             and on > (surface.c(i) - 1) * smin and surface.c(i) * smin <= m
             for i, oi, on in keys
         ):
-            flagged.add(profile)
-    impossible = [(idx, pr) for idx, (_, pr) in enumerate(points) if pr in flagged]
+            impossible.append((profile, n))
     strata = tuple(
         StratumStats(
             label, counts[label],
@@ -357,10 +423,11 @@ def coverage_spot_check(
         )
         for label in labels
     )
+    total = sum(profiles.values())
     return CoverageReport(
-        total_points=len(points),
+        total_points=total,
         stratum_points=stratum_points,
-        closure_points=len(points) - stratum_points,
+        closure_points=total - stratum_points,
         impossible_profiles=tuple(impossible),
         disjoint=len(counts) == len(labels),
         strata=strata,

@@ -4,14 +4,14 @@ checks showing that criteria 1, 3 and 8 catch known-wrong formulas.
 Every test prints a single [PASS]/[FAIL] line (run with -s to see them all)
 and enforces its runtime budget.  The exhaustive enumeration grid is shared
 between criteria 5 and 6 through a module-level cache, so the fibers are
-walked once.
+counted once.
 """
 
 import time
 
 import pytest
 
-from toricjets import components
+from toricjets import components, oracle
 from toricjets import (
     DualBasis,
     OracleConfig,
@@ -26,7 +26,6 @@ from toricjets import (
     dual_hilbert_basis,
     dual_hilbert_basis_bruteforce,
     enumerate_classes,
-    enumerate_fiber,
     exceptional_count_dual_cf,
     exceptional_count_hull,
     generators,
@@ -56,8 +55,9 @@ _ORACLE: dict = {}
 
 
 def _oracle_matrix():
-    """One record per (surface, field, m) cell: fiber, propagation verdicts,
-    stratum stats, coverage.  Computed once, reused by criteria 5 and 6."""
+    """One record per (surface, field, m) cell: fiber profile counts,
+    propagation verdicts, stratum stats, coverage.  Computed once, reused by
+    criteria 5 and 6."""
     if "runs" in _ORACLE:
         return _ORACLE["runs"]
     runs = []
@@ -65,13 +65,13 @@ def _oracle_matrix():
         surf = ToricSurface.from_pair(p, q)
         for m in range(1, mtop + 1):
             cfg = OracleConfig(ch, m)
-            fiber = enumerate_fiber(surf, cfg)
+            profiles = oracle.fiber_profiles(surf, cfg)
             propagation = all(
                 check_order_propagation(surf, OracleConfig(ch, 2 * s - 1), s)
                 for s in range(1, (m + 1) // 2 + 1)
             )
-            coverage = coverage_spot_check(surf, cfg, fiber)
-            runs.append((surf, ch, m, fiber, propagation, coverage.strata, coverage))
+            coverage = coverage_spot_check(surf, cfg, profiles)
+            runs.append((surf, ch, m, profiles, propagation, coverage.strata, coverage))
     _ORACLE["runs"] = runs
     return runs
 
@@ -183,7 +183,7 @@ def test_criterion_5_oracle_hard_checks():
     try:
         runs = _oracle_matrix()
         assert len(runs) == 29
-        for surf, ch, m, fiber, propagation, strata, coverage in runs:
+        for surf, ch, m, profiles, propagation, strata, coverage in runs:
             key = (surf.p, surf.q, ch, m)
             assert propagation, key
             assert strata, key
@@ -196,7 +196,7 @@ def test_criterion_5_oracle_hard_checks():
     except BaseException:
         print("[FAIL] criterion 5: exhaustive oracle hard checks")
         raise
-    points = sum(len(fiber) for _, _, _, fiber, _, _, _ in runs)
+    points = sum(sum(profiles.values()) for _, _, _, profiles, _, _, _ in runs)
     print(f"[PASS] criterion 5: propagation, non-emptiness, disjointness, and "
           f"minimum order hold over {points} fiber points in {len(runs)} runs "
           f"({dt:.1f}s)")
@@ -206,7 +206,7 @@ def test_criterion_6_oracle_count_prediction():
     try:
         runs = _oracle_matrix()
         checked = 0
-        for surf, ch, m, fiber, propagation, strata, coverage in runs:
+        for surf, ch, m, profiles, propagation, strata, coverage in runs:
             for st in strata:
                 assert st.point_count == st.predicted_count, (
                     surf.p, surf.q, ch, m, st.label, st.point_count,
@@ -214,7 +214,7 @@ def test_criterion_6_oracle_count_prediction():
                 checked += 1
         surf = ToricSurface.from_pair(2, 3)
         cfg = OracleConfig(3, 1)
-        stats = coverage_spot_check(surf, cfg, enumerate_fiber(surf, cfg)).strata
+        stats = coverage_spot_check(surf, cfg, oracle.fiber_profiles(surf, cfg)).strata
         by_label = {st.label: st.point_count for st in stats}
         assert by_label[(2, 1, 1)] == 36
     except BaseException:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from toricjets import ABOVE_M, FiberPoint, ToricSurface, cli, components, oracle
+from toricjets import ABOVE_M, ToricSurface, cli, components, oracle
 from toricjets.cli import _analyze_doc, _canonical_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -331,23 +331,30 @@ def _failed_checks(capsys):
 
 
 def _plant_in_fiber(monkeypatch, edit):
-    """verify's fiber goes through edit(points) before it is classified."""
-    real = cli.enumerate_fiber
+    """verify's fiber profile counts go through edit(profiles) before they
+    are classified."""
+    real = cli.fiber_profiles
 
     def planted(surface, config, jobs=1):
-        points = real(surface, config, jobs=jobs)
-        edit(points)
-        return points
+        profiles = real(surface, config, jobs=jobs)
+        edit(profiles)
+        return profiles
 
-    monkeypatch.setattr(cli, "enumerate_fiber", planted)
+    monkeypatch.setattr(cli, "fiber_profiles", planted)
+
+
+def _move_one_point(profiles, old, new):
+    profiles[old] -= 1
+    profiles[new] += 1
+    if not profiles[old]:
+        del profiles[old]
 
 
 def test_stratum_min_order_catches_an_order_below_s(capsys, monkeypatch):
-    def edit(points):
+    def edit(profiles):
         # a point of stratum (2,2,2): ord x2 = ord x3 = 2; x1 is in no key
-        idx = next(k for k, fp in enumerate(points) if fp.profile[1:3] == (2, 2))
-        jet, profile = points[idx]
-        points[idx] = FiberPoint(jet, (1,) + profile[1:])
+        profile = next(pr for pr in profiles if pr[1:3] == (2, 2))
+        _move_one_point(profiles, profile, (1,) + profile[1:])
 
     _plant_in_fiber(monkeypatch, edit)
     assert _failed_checks(capsys) == (1, ["stratum_min_order"])
@@ -361,15 +368,49 @@ def test_stratum_disjoint_catches_a_repeated_label(capsys, monkeypatch):
 
 
 def test_no_impossible_profiles_catches_one(capsys, monkeypatch):
-    def edit(points):
+    def edit(profiles):
         # the zero jet is a closure point; give it ord x2 = 1, ord x3 = 2:
         # l = 2 > (c_2 - 1) * 1 with c_2 * 1 = 2 <= m, and (2,1,2) is no label
-        jet, profile = points[0]
-        assert profile == (ABOVE_M,) * 5
-        points[0] = FiberPoint(jet, (ABOVE_M, 1, 2, ABOVE_M, ABOVE_M))
+        assert profiles[(ABOVE_M,) * 5] == 1
+        _move_one_point(profiles, (ABOVE_M,) * 5, (ABOVE_M, 1, 2, ABOVE_M, ABOVE_M))
 
     _plant_in_fiber(monkeypatch, edit)
-    assert _failed_checks(capsys) == (1, ["no_impossible_profiles"])
+    code, out, _ = _run(capsys, VERIFY_5_7)
+    doc = json.loads(out)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert code == 1
+    assert [name for name, c in checks.items() if c["status"] != "pass"] == [
+        "no_impossible_profiles"]
+    # one point flagged, out of the fiber's points outside every stratum
+    closure = doc["coverage"]["closure"]
+    assert checks["no_impossible_profiles"]["detail"] == f"1 flagged, {closure} closure points"
+    assert doc["coverage"]["impossible"] == 1
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (2, 5), (5, 7)])
+def test_order_propagation_s2_catches_a_dropped_top_residual(capsys, monkeypatch, p, q):
+    # every parent at level 2 then seems to have member children at level 3
+    monkeypatch.setattr(oracle, "_top_coefficients", lambda coords, m, surface: {})
+    code, out, _ = _run(capsys, ["verify", "--p", str(p), "--q", str(q), "--m", "3",
+                                 "--field", "2", "--format", "json"])
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert status["order_propagation_s2"] == "fail"
+    # level 1 over a constant layer has no residual to drop
+    assert status["order_propagation_s1"] == "pass"
+
+
+def test_order_propagation_s1_catches_a_void_tangent_condition(capsys, monkeypatch):
+    # every constant layer treated as the origin: a member with a unit
+    # coordinate gets all p^e first-order layers
+    monkeypatch.setattr(oracle, "_top_coefficients", lambda coords, m, surface: {})
+    monkeypatch.setattr(oracle, "_jacobian", lambda eqs, x0, p: {
+        (eq.i, eq.j): [0] * len(x0) for eq in eqs})
+    code, out, _ = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
+                                 "--field", "2", "--format", "json"])
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert status["order_propagation_s1"] == "fail"
 
 
 def _plant_cap_off_by(monkeypatch, off):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -100,6 +101,18 @@ def _odometer_members(surf, ch, m, over_origin):
     return out
 
 
+def _odometer_propagation(surf, ch, s):
+    """Reference verdict of check_order_propagation from the odometer's
+    members at level 2s-1 over the full space."""
+    for rows in _odometer_members(surf, ch, 2 * s - 1, over_origin=False):
+        orders = [next((b for b, c in enumerate(row) if c), None) for row in rows]
+        if any(orders[i - 1] == orders[i] == s for i in range(2, surf.e)) and any(
+            o is not None and o < s for o in orders
+        ):
+            return False
+    return True
+
+
 def _check_against_odometer(monkeypatch, p, q, ch, m):
     surf = ToricSurface.from_pair(p, q)
     cfg = OracleConfig(ch, m)
@@ -107,6 +120,7 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
     fiber = [fp.jet.coords for fp in enumerate_fiber(surf, cfg)]
     assert fiber == _odometer_members(surf, ch, m, over_origin=True)
     if m % 2:  # order propagation runs at m = 2s-1 over the full space
+        s = (m + 1) // 2
         walked = []
         real = oracle._enumerate_members
 
@@ -117,8 +131,12 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
 
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_enumerate_members", spy)
-            assert check_order_propagation(surf, cfg, (m + 1) // 2)
-        assert walked == _odometer_members(surf, ch, m, over_origin=False)
+            verdict = check_order_propagation(surf, cfg, s)
+        # at s >= 2 the walk stops one level below the top layer it solves
+        level = m if s == 1 else 2 * s - 2
+        assert walked == _odometer_members(surf, ch, level, over_origin=False)
+        assert verdict == _odometer_propagation(surf, ch, s)
+        assert verdict
 
 
 # every e = 4 cell with p^(e(m+1)) <= 2^16, and (5,7) at F_2 for m <= 2
@@ -243,8 +261,72 @@ def test_fiber_walk_checks_one_child_per_member(monkeypatch):
     assert checks == []
 
 
+def _check_profiles_against_listing(surf, cfg, jobs=1):
+    listed = Counter(fp.profile for fp in oracle.enumerate_fiber(surf, cfg))
+    assert oracle.fiber_profiles(surf, cfg, jobs=jobs) == listed, (surf.p, surf.q, cfg)
+
+
+@pytest.mark.parametrize("p,q,ch,m", [
+    *ODOMETER_CELLS,
+    *((p, q, ch, m) for p, q, ch, mtop in SHORTCUT_CELLS for m in range(mtop + 1)),
+])
+def test_profile_counts_match_the_listing(p, q, ch, m):
+    _check_profiles_against_listing(ToricSurface.from_pair(p, q), OracleConfig(ch, m))
+
+
+def test_profile_counts_match_the_listing_across_a_pool():
+    # level m-1 = 2 splits at level 1: the members below the top layer come
+    # from worker processes
+    _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 3), jobs=2)
+
+
+def test_profile_count_check_catches_a_dropped_residual_filter(monkeypatch):
+    # once the listing is taken, every member below the top layer is counted
+    # as having all p^e children
+    real = oracle.enumerate_fiber
+
+    def listing_then_plant(*args, **kwargs):
+        points = real(*args, **kwargs)
+        monkeypatch.setattr(oracle, "_top_coefficients", lambda coords, m, surface: {})
+        return points
+
+    monkeypatch.setattr(oracle, "enumerate_fiber", listing_then_plant)
+    with pytest.raises(AssertionError):
+        _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 2))
+
+
+def test_profile_counts_at_level_zero_are_the_origin():
+    surf = ToricSurface.from_pair(5, 7)
+    assert oracle.fiber_profiles(surf, OracleConfig(3, 0)) == {(ABOVE_M,) * 5: 1}
+
+
+def test_profile_counts_charge_the_full_space():
+    # the walk stops at level m-1, but the guard is charged for level m
+    surf = ToricSurface.from_pair(2, 3)
+    with pytest.raises(GuardExceededError) as exc:
+        oracle.fiber_profiles(surf, OracleConfig(3, 2, guard=3 ** 12 - 1))
+    assert exc.value.required == 3 ** 12
+    with pytest.raises(GuardExceededError) as exc:
+        check_order_propagation(surf, OracleConfig(3, 3, guard=3 ** 16 - 1), 2)
+    assert exc.value.required == 3 ** 16
+
+
+def test_coverage_reports_impossible_profiles_with_point_counts():
+    surf = ToricSurface.from_pair(3, 5)
+    cfg = OracleConfig(2, 2)
+    profiles = oracle.fiber_profiles(surf, cfg)
+    # ord x2 = 1 = the minimum, ord x3 = 2 > (c_2 - 1) * 1, c_2 * 1 <= m
+    bad = (ABOVE_M, 1, 2, ABOVE_M)
+    assert bad not in profiles
+    profiles[bad] = 3
+    cov = coverage_spot_check(surf, cfg, profiles)
+    assert cov.impossible_profiles == ((bad, 3),)
+    assert cov.total_points == 99
+    assert cov.closure_points == 59
+
+
 def _coverage(surf, cfg):
-    return coverage_spot_check(surf, cfg, enumerate_fiber(surf, cfg))
+    return coverage_spot_check(surf, cfg, oracle.fiber_profiles(surf, cfg))
 
 
 def test_stratum_counts_frozen_2_3():
@@ -356,3 +438,15 @@ def test_jobs_are_clamped_to_the_chunk_count(monkeypatch, pool_sizes):
     seq = [fp.jet.coords for fp in enumerate_fiber(surf, one)]
     assert [fp.jet.coords for fp in enumerate_fiber(surf, one, jobs=64)] == seq
     assert pool_sizes == [16, 5]
+
+
+def test_profile_counts_split_only_below_the_top_layer(pool_sizes, monkeypatch):
+    # the walk stops at level m-1 and splits at level 1 as the listing does:
+    # an m = 2 fiber starts no pool, an m = 3 fiber does
+    surf = ToricSurface.from_pair(2, 3)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    two, three = OracleConfig(2, 2), OracleConfig(2, 3)
+    assert oracle.fiber_profiles(surf, two, jobs=64) == oracle.fiber_profiles(surf, two)
+    assert pool_sizes == []
+    assert oracle.fiber_profiles(surf, three, jobs=64) == oracle.fiber_profiles(surf, three)
+    assert pool_sizes == [16]
