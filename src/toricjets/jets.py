@@ -7,7 +7,8 @@ makes monomial arcs (single-term coordinates) cheap to test for membership.
 Membership walks the binomials of equations.minus_walk: for a fixed i the
 minus monomials are one running product, grown by one factor per equation,
 so a check costs O(e^2) sparse products rather than O(e^3).  The same walk
-gives the top coefficients that the oracle's lifting solves against.
+gives the coefficients and derivative series that the oracle's lifting and
+solving read.
 """
 
 from __future__ import annotations
@@ -203,29 +204,72 @@ def evaluate(eq: BinomialEquation, jet: TruncatedJet) -> tuple:
     return tuple(out)
 
 
-def _binomial_differences(rows, m: int, surface: ToricSurface):
-    """Yield ((i, j), plus, minus) for each binomial whose sides differ along rows.
+def _through(terms, n: int) -> tuple:
+    """The sparse terms up to t^n."""
+    return tuple((d, c) for d, c in terms if d <= n)
 
-    The binomials come in minus_walk order; plus and minus are the sparse
-    terms of the two monomials of binomial (i, j), past t^m dropped, and
-    rows are sparse as from _sparse_rows.  A binomial whose sides have equal
-    term lists vanishes without any reduction and is skipped.  For each i
-    the minus monomials are one running product times one closing factor, so
-    each binomial costs a bounded number of sparse products and the walk is
-    O(e^2), not O(e^3); a running product that has truncated to zero stays
-    zero for that i.  This is the one loop over the binomials: is_member and
-    _top_coefficients both read it.
+
+def _derivatives_times_power(running, d_running: dict, row, g: int, b: int, n: int) -> dict:
+    """The derivatives through t^n of R x^b, x the coordinate of row, by the
+    product rule: d(R x^b) = dR x^b + b R x^(b-1) dx.
+
+    running holds the sparse terms of R and d_running maps each 0-based
+    coordinate to those of dR through t^n; g is the 0-based coordinate of x,
+    which must not be a variable of R.  A derivative that truncates to zero
+    is left out.
     """
+    if not b:
+        return d_running
+    out = {l: t for l, terms in d_running.items() if (t := _times_power(terms, row, b, n))}
+    t = _through(_times_power(running, row, b - 1, n), n)
+    if t:
+        out[g] = tuple((d, b * c) for d, c in t)
+    return out
+
+
+def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
+    """Yield ((i, j), plus, minus, grad) per binomial, in minus_walk order.
+
+    plus and minus are the sparse terms of the two monomials of binomial
+    (i, j) along rows, past t^m dropped; rows are sparse as from
+    _sparse_rows.  For each i the minus monomials are one running product
+    times one closing factor, so each binomial costs a bounded number of
+    sparse products and the walk is O(e^2), not O(e^3); a running product
+    that has truncated to zero stays zero for that i.  This is the one loop
+    over the binomials: is_member, _top_coefficients and _taylor all read it.
+
+    With n < 0 a binomial whose sides have equal term lists vanishes without
+    any reduction and is skipped, and grad is empty.  With 0 <= n <= m every
+    binomial is yielded, and grad maps each 0-based coordinate l to the
+    sparse terms through t^n of the binomial's derivative by x_(l+1), a
+    coordinate whose derivative truncates to zero being left out.  The
+    running product carries its derivatives along; no variable of it recurs
+    in a later factor, the closing one included.
+    """
+    derive = n >= 0
     running = _ONE
+    d_running: dict = {}
     for i, j, grow, (k, a) in minus_walk(surface):
         if grow is None:
-            running = _ONE
+            running, d_running = _ONE, {}
         else:
-            running = _times_power(running, rows[grow[0] - 1], grow[1], m)
+            g, b = grow
+            if derive:
+                d_running = _derivatives_times_power(running, d_running, rows[g - 1], g - 1, b, n)
+            running = _times_power(running, rows[g - 1], b, m)
         plus = _times_power(rows[i - 1], rows[j - 1], 1, m)
         minus = _times_power(running, rows[k - 1], a, m)
-        if plus != minus:
-            yield (i, j), plus, minus
+        if not derive:
+            if plus != minus:
+                yield (i, j), plus, minus, {}
+            continue
+        d_minus = _derivatives_times_power(running, d_running, rows[k - 1], k - 1, a, n)
+        grad = {l: tuple((d, -c) for d, c in terms) for l, terms in d_minus.items()}
+        for l, other in ((i - 1, j - 1), (j - 1, i - 1)):
+            t = _through(rows[other], n)
+            if t:
+                grad[l] = t
+        yield (i, j), plus, minus, grad
 
 
 def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
@@ -233,7 +277,7 @@ def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
     if jet.e != surface.e:
         raise InputRangeError(f"surface has {surface.e} coordinates, jet has {jet.e}")
     is_zero = jet.field.is_zero
-    for _, plus, minus in _binomial_differences(_sparse_rows(jet.coords), jet.m, surface):
+    for _, plus, minus, _ in _binomial_series(_sparse_rows(jet.coords), jet.m, surface):
         diff = dict(plus)
         for d, c in minus:
             diff[d] = diff.get(d, 0) - c
@@ -251,8 +295,37 @@ def _top_coefficients(coords, m: int, surface: ToricSurface) -> dict:
     """
     return {
         ij: sum(c for d, c in plus if d == m) - sum(c for d, c in minus if d == m)
-        for ij, plus, minus in _binomial_differences(_sparse_rows(coords), m, surface)
+        for ij, plus, minus, _ in _binomial_series(_sparse_rows(coords), m, surface)
     }
+
+
+def _taylor(coords, m: int, n: int, surface: ToricSurface) -> dict:
+    """(i, j) -> (value, grad): each binomial's series along coords and its
+    derivative series.
+
+    value[d] is the t^d coefficient of the binomial along coords for d <= m,
+    and grad[d][l] the t^d coefficient of its derivative by x_(l+1) along
+    coords for d <= n.  Rows may stop below t^m; missing coefficients are
+    zero, and values are unreduced, as from evaluate.  With n >= 0 every
+    binomial is a key.  With n < 0 grad is empty and a binomial left out
+    has the zero series.  These are the terms of the Taylor expansion: for
+    y of order o >= 1, f(x + y) = f(x) + sum_l df/dx_l(x) y_l modulo
+    t^(2o), every monomial of a binomial having degree >= 2.
+    """
+    e = len(coords)
+    out = {}
+    for ij, plus, minus, grads in _binomial_series(_sparse_rows(coords), m, surface, n):
+        value = [0] * (m + 1)
+        for d, c in plus:
+            value[d] += c
+        for d, c in minus:
+            value[d] -= c
+        grad = [[0] * e for _ in range(n + 1)]
+        for l, terms in grads.items():
+            for d, c in terms:
+                grad[d][l] += c
+        out[ij] = value, grad
+    return out
 
 
 def truncate(jet: TruncatedJet, m_target: int) -> TruncatedJet:

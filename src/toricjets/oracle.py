@@ -10,13 +10,23 @@ constant layer the extensions of a member form an affine space over the
 Zariski tangent space at its constant layer, or are empty (Mustata, Invent.
 Math. 2001), so each member costs one residual evaluation and one linear
 solve mod p; over the origin the tangent condition is void and the
-extensions are all p^e layers or none.  The checks solve the top layer
-rather than list it: fiber_profiles counts the children of each member one
-level down by their order profiles, and check_order_propagation reads the
-orders at s >= 2 from the parents, solving for children only where they
-would refute the lemma.  enumerate_fiber still lists every point.  Point
-counts over F_p are heuristic evidence for dimensions and are reported as
-experimental; the boolean lemma checks are hard.
+extensions are all p^e layers or none.
+
+The checks walk only the lower levels and solve the upper ones.  Above a
+member x_low at level h, the member jets at level m <= 2h+1 are the
+solutions of one linear system over F_p in the layers h+1..m: for each
+binomial f and each k, r_k + sum over g <= k of D_(k-g) a_g = 0, with r_k
+the t^k coefficient of f along x_low and D_d the t^d term of its
+derivative series, since any product of two upper layers lands past t^m
+(Denef-Loeser, Invent. Math. 1999; Ein-Mustata, 2009).  The system is
+block lower-triangular with J(x_0) = D_0 on its diagonal.
+check_order_propagation walks the full space to level s-1 and counts, by
+ranks, the members at level 2s-1 above each candidate that would refute
+the lemma; fiber_profiles walks the origin to level m-2 and solves the
+layer m-1 from D_1, then counts the top layer by contact profile.
+enumerate_fiber still lists every point.  Point counts over F_p are
+heuristic evidence for dimensions and are reported as experimental; the
+boolean lemma checks are hard.
 """
 
 from __future__ import annotations
@@ -31,8 +41,7 @@ from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
 from .errors import GuardExceededError, InputRangeError
-from .equations import generators
-from .jets import ABOVE_M, TruncatedJet, _top_coefficients, is_member, prime_field
+from .jets import ABOVE_M, TruncatedJet, _taylor, _top_coefficients, is_member, prime_field
 from .lattice import ToricSurface
 
 DEFAULT_GUARD = 1 << 26
@@ -114,54 +123,46 @@ def _check_guard(surface: ToricSurface, config: OracleConfig) -> None:
         )
 
 
-def _jacobian(eqs, x0, p: int) -> dict:
-    """d/dx of each binomial x_i x_j - x^b at the constant layer x0, mod p.
+def _row_reduce(rows, ncols: int, p: int) -> list:
+    """Gauss-Jordan mod p on the first ncols columns of rows, in place.
 
-    Maps (i, j) to the binomial's row, one column per coordinate.
+    Entries must be reduced into 0..p-1; columns past ncols are carried
+    along.  Returns the pivot columns: rows[r] has a 1 at pivots[r] and every
+    other row a 0 there, and the rows past the rank are zero on the first
+    ncols columns.  The one elimination routine of the oracle.
     """
-    rows = {}
-    for eq in eqs:
-        row = [0] * len(x0)
-        for sign, expo in ((1, eq.plus_exponents), (-1, eq.minus_exponents)):
-            for l, a in enumerate(expo):
-                if a:
-                    term = sign * a * x0[l] ** (a - 1)
-                    for k, b in enumerate(expo):
-                        if b and k != l:
-                            term *= x0[k] ** b
-                    row[l] += term
-        rows[eq.i, eq.j] = [x % p for x in row]
-    return rows
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
 
 
 def _tangent_solver(jac, p: int, e: int):
     """solve(r): every layer a in F_p^e with jac . a = -r (mod p).
 
-    jac maps row keys to rows, and r maps row keys to values, a missing key
-    being zero.  Gauss-Jordan on [jac | I] brings jac to reduced row echelon
-    form E = T jac, once per matrix.  A right-hand side then costs T . (-r):
-    rows past the rank must vanish, and the pivot coordinates of a
-    particular solution are read off the rest.  The kernel, one layer per
-    assignment of the e - rank free coordinates, is listed once and shifted
-    by it.
+    jac maps row keys to rows reduced mod p, and r maps row keys to values,
+    a missing key being zero.  Gauss-Jordan on [jac | I] brings jac to
+    reduced row echelon form E = T jac, once per matrix.  A right-hand side
+    then costs T . (-r): rows past the rank must vanish, and the pivot
+    coordinates of a particular solution are read off the rest.  The kernel,
+    one layer per assignment of the e - rank free coordinates, is listed
+    once and shifted by it.
     """
     keys = list(jac)
     n = len(keys)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(jac.values())]
-    pivots = []
-    for col in range(e):
-        r = len(pivots)
-        src = next((i for i in range(r, n) if aug[i][col]), None)
-        if src is None:
-            continue
-        aug[r], aug[src] = aug[src], aug[r]
-        inv = pow(aug[r][col], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(n):
-            f = aug[i][col]
-            if f and i != r:
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
+    pivots = _row_reduce(aug, e, p)
     rank = len(pivots)
     free = [col for col in range(e) if col not in pivots]
     kernel = []
@@ -189,15 +190,33 @@ def _tangent_solver(jac, p: int, e: int):
 
 
 class _Solvers(dict):
-    """Constant layer -> _tangent_solver of the Jacobian there, built on first lookup."""
+    """Layer c -> _tangent_solver of D_d, built on first lookup.
 
-    def __init__(self, surface: ToricSurface, p: int):
+    D_d is the t^d term of the derivative series along the jet whose layers
+    below d are zero and whose layer d is c; d is 0 unless given.  D_0 at the
+    constant layer is the Jacobian J(x_0) of the tangent lifting.  Over the
+    origin D_1 along a jet depends on its layer 1 alone, every derivative of
+    a binomial being a polynomial without constant term.
+    """
+
+    def __init__(self, surface: ToricSurface, p: int, d: int = 0):
         super().__init__()
-        self.eqs, self.p, self.e = generators(surface), p, surface.e
+        self.surface, self.p, self.d = surface, p, d
 
-    def __missing__(self, x0):
-        solve = self[x0] = _tangent_solver(_jacobian(self.eqs, x0, self.p), self.p, self.e)
+    def __missing__(self, layer):
+        d, p = self.d, self.p
+        rows = tuple((0,) * d + (c,) for c in layer)
+        jac = {ij: [c % p for c in grad[d]]
+               for ij, (_, grad) in _taylor(rows, d, d, self.surface).items()}
+        solve = self[layer] = _tangent_solver(jac, p, self.surface.e)
         return solve
+
+
+def _constant_members(surface, field, layers) -> list:
+    """Rows of the member jets at level 0 among the given constant layers,
+    each checked with is_member."""
+    starts = (tuple((c,) for c in x0) for x0 in layers)
+    return [rows for rows in starts if is_member(TruncatedJet(field, 0, rows), surface)]
 
 
 def _lift(surface, field, m, coords):
@@ -220,9 +239,7 @@ def _lift(surface, field, m, coords):
     """
     p, e = field.characteristic, surface.e
     if not coords[0][0]:  # the constant layer, child by child
-        starts = (tuple((c,) for c in x0) for x0 in itertools.product(range(p), repeat=e))
-        coords = [rows for rows in starts
-                  if is_member(TruncatedJet(field, 0, rows), surface)]
+        coords = _constant_members(surface, field, itertools.product(range(p), repeat=e))
     solvers = _Solvers(surface, p)
     for k in range(len(coords[0][0]), m + 1):
         lifted = []
@@ -296,27 +313,47 @@ def fiber_profiles(
 
     Equals Counter(fp.profile for fp in enumerate_fiber(...)).  The guard is
     charged for the full p^(e(m+1)) space; the walk over the origin then
-    stops at level m-1 and the top layer is solved.  Over the origin J = 0,
-    so a member x at level m-1 has all p^e layers as member children when
-    every t^m coefficient of the binomials along x vanishes mod p, and none
-    otherwise.  A child keeps the order of every nonzero row of x; a zero
-    row takes order m under each of the p-1 nonzero top coefficients and
-    stays above m under zero.  With O the zero rows of x, the profile with
-    order m on T within O and above m on the rest of O thus has
-    (p-1)^|T| p^(e-|O|) children.  Members are grouped by profile before
-    this is expanded.
+    stops below the top and the top two layers are solved.
+
+    The top layer: over the origin J = 0, so a member x at level m-1 has all
+    p^e layers as member children when every t^m coefficient of the
+    binomials along x vanishes mod p, and none otherwise.  A child keeps the
+    order of every nonzero row of x; a zero row takes order m under each of
+    the p-1 nonzero top coefficients and stays above m under zero.  With O
+    the zero rows of x, the profile with order m on T within O and above m
+    on the rest of O thus has (p-1)^|T| p^(e-|O|) children.  Members are
+    grouped by profile, their shape, before this is expanded.
+
+    The layer below it, at m >= 3: the walk stops at level m-2.  Along
+    x + a t^(m-1) the t^(m-1) coefficient is r_(m-1)(x), as D_0 = J = 0, and
+    the t^m coefficient is r_m(x) + D_1(x) a, with D_1 the t^1 term of the
+    derivative series along x; every term of degree >= 2 in a lands at
+    t^(2m-2) > t^m.  So a node x whose t^(m-1) residual vanishes has as
+    level m-1 members with member children exactly the x + a t^(m-1) with
+    D_1(x) a = -r_m(x), and each gives its shape: a zero row of x takes
+    order m-1 where a is nonzero.  At m <= 2 the walk stops at level m-1.
     """
     _check_guard(surface, config)
     e, m, p = surface.e, config.m, config.characteristic
     if m == 0:
         return Counter({(ABOVE_M,) * e: 1})
-    below = _enumerate_members(surface, replace(config, m=m - 1), [((0,),) * e], jobs)
+    origin = [((0,),) * e]
     orders = _Orders()
-    shapes = Counter(
-        tuple(orders[row] for row in rows)
-        for rows in below
-        if not any(c % p for c in _top_coefficients(rows, m, surface).values())
-    )
+    shapes = Counter()
+    if m <= 2:
+        for rows in _enumerate_members(surface, replace(config, m=m - 1), origin, jobs):
+            if not any(c % p for c in _top_coefficients(rows, m, surface).values()):
+                shapes[tuple(orders[row] for row in rows)] += 1
+    else:
+        solvers = _Solvers(surface, p, 1)
+        for rows in _enumerate_members(surface, replace(config, m=m - 2), origin, jobs):
+            series = _taylor(rows, m, -1, surface)
+            if any(value[m - 1] % p for value, _ in series.values()):
+                continue
+            shape = [orders[row] for row in rows]
+            top = {ij: value[m] for ij, (value, _) in series.items()}
+            for a in solvers[tuple(row[1] for row in rows)](top):
+                shapes[tuple(m - 1 if o is ABOVE_M and c else o for o, c in zip(shape, a))] += 1
     profiles = Counter()
     for shape, n in shapes.items():
         weight = n * p ** sum(o is not ABOVE_M for o in shape)
@@ -327,6 +364,83 @@ def fiber_profiles(
     return profiles
 
 
+def _zero_pairs(zero) -> list:
+    """The i in 2..e-1 with coordinates x_i and x_(i+1) both flagged in zero,
+    a sequence of e flags indexed from 0."""
+    return [i for i in range(2, len(zero)) if zero[i - 1] and zero[i]]
+
+
+def _upper_system(surface: ToricSurface, rows, s: int, p: int) -> list:
+    """Rows [A | b] of the system A a = b whose solutions are the layers
+    s..2s-1 of the member jets above the member rows at level s-1.
+
+    Unknown (g - s) e + l is the coefficient a_(g, l) of x_(l+1) at t^g.
+    Each binomial f gives one equation per k = s..2s-1,
+    r_k + sum over g = s..k and l of D_(k-g)[l] a_(g, l) = 0, with r_k the
+    t^k coefficient of f along rows and D_d[l] the t^d term of df/dx_(l+1):
+    the Taylor expansion, since a product of two upper layers lands at
+    t^(2s) or above.  Entries are reduced mod p.
+    """
+    e = surface.e
+    system = []
+    for value, grad in _taylor(rows, 2 * s - 1, s - 1, surface).values():
+        for k in range(s, 2 * s):
+            row = [0] * (e * s) + [-value[k] % p]
+            for g in range(s, k + 1):
+                row[(g - s) * e:(g - s + 1) * e] = [c % p for c in grad[k - g]]
+            system.append(row)
+    return system
+
+
+def _solution_count(system, n: int, p: int, fixed=()) -> int:
+    """Number of solutions in F_p^n of the rows [A | b] with the unknowns in
+    fixed set to zero: p^(n - |fixed| - rank), or 0 when b is a pivot."""
+    rows = [[0 if col in fixed else x for col, x in enumerate(row)] for row in system]
+    pivots = _row_reduce(rows, n + 1, p)
+    return 0 if n in pivots else p ** (n - len(fixed) - len(pivots))
+
+
+def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int, jobs: int = 1):
+    """Yield (rows, i, count) for each candidate and each of its zero pairs.
+
+    A candidate is a member at level s-1 with a finite coordinate order,
+    necessarily below s, and some pair x_i, x_(i+1) with 2 <= i <= e-1 zero
+    through layer s-1; count is the number of member jets at level 2s-1
+    above it with ord x_i = ord x_(i+1) = s.  Those are the solutions of
+    _upper_system with both layer-s entries of the pair nonzero, so by
+    inclusion-exclusion count = Z - Z(a_(s,i) = 0) - Z(a_(s,i+1) = 0) +
+    Z(both), Z counting solutions.  Every candidate has its pair zero at
+    layer 0, and at s = 1 a unit coordinate, so only the constant layers
+    with these properties are checked for membership and walked to level
+    s-1.  config is at level m = 2s-1.
+    """
+    e, p = surface.e, config.characteristic
+
+    def may_start(x0):
+        zero = [not c for c in x0]
+        return _zero_pairs(zero) and (s > 1 or not all(zero))
+
+    layers = filter(may_start, itertools.product(range(p), repeat=e))
+    start = _constant_members(surface, prime_field(p), layers)
+    if not start:
+        return
+    n = e * s
+    for rows in _enumerate_members(surface, replace(config, m=s - 1), start, jobs):
+        zero = [not any(row) for row in rows]
+        pairs = _zero_pairs(zero)
+        if all(zero) or not pairs:
+            continue
+        system = _upper_system(surface, rows, s, p)
+        total = _solution_count(system, n, p)
+        for i in pairs:
+            yield rows, i, (
+                total
+                - _solution_count(system, n, p, (i - 1,))
+                - _solution_count(system, n, p, (i,))
+                + _solution_count(system, n, p, (i - 1, i))
+            )
+
+
 def check_order_propagation(
     surface: ToricSurface, config: OracleConfig, s: int, jobs: int = 1
 ) -> bool:
@@ -335,13 +449,13 @@ def check_order_propagation(
     Covers the members of the full space, constant terms included: the
     order hypothesis can hold while some other coordinate is a unit, and
     exactly those jets must fail membership for the claim to stand.  The
-    guard is charged for the full p^(2es) space.  At s = 1 the order s is
-    the top layer itself, so the members at level 1 are walked and read.
-    At s >= 2 every order up to s lies below the top layer t^(2s-1), so a
-    member has its parent's orders wherever the claim looks: the walk stops
-    at level 2s-2, and only a parent that meets the hypothesis with a
-    finite order below s is solved for member children, any one of which
-    refutes the claim.
+    guard is charged for the full p^(2es) space.  The walk stops at level
+    s-1, half way: every order up to s-1 is read there, and a member of
+    level 2s-1 with ord x_i = ord x_(i+1) = s and a smaller order lies above
+    a candidate of _refuting_counts.  The member jets above a candidate are
+    the solutions of one linear system, so they are counted, not listed; a
+    nonzero count refutes the claim, and a negative one, which only a
+    broken count can give, fails it too.
     """
     if s < 1:
         raise InputRangeError(f"s must be >= 1, got {s}")
@@ -350,21 +464,7 @@ def check_order_propagation(
             f"order propagation needs m = 2s-1 = {2 * s - 1}, config has m={config.m}"
         )
     _check_guard(surface, config)
-    e = surface.e
-    walked = config if s == 1 else replace(config, m=config.m - 1)
-    solvers = _Solvers(surface, config.characteristic)
-    row_order = _Orders()
-    for rows in _enumerate_members(surface, walked, [((),) * e], jobs):
-        orders = [row_order[row] for row in rows]
-        if not any(orders[i - 1] == s and orders[i] == s for i in range(2, e)):
-            continue
-        if not any(o is not ABOVE_M and o < s for o in orders):
-            continue
-        if s == 1 or solvers[tuple(row[0] for row in rows)](
-            _top_coefficients(rows, config.m, surface)
-        ):
-            return False
-    return True
+    return not any(count for _, _, count in _refuting_counts(surface, config, s, jobs))
 
 
 def coverage_spot_check(

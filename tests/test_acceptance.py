@@ -39,16 +39,20 @@ from conftest import coprime_family
 
 FAMILY = coprime_family(30)
 
-# ((p, q), characteristic, largest m): e = 4 to 8, each within the guard
+# ((p, q), characteristic, largest m, guard): e = 4 to 8.  The guard is the
+# default unless the cell's full space p^(e(m+1)) exceeds it, as (5,7) at
+# F_2 up to m = 5 (2^30) and at F_5 up to m = 3 (5^20) do; the walks there
+# reach far fewer points than that.
+GUARD = oracle.DEFAULT_GUARD
 ORACLE_GRID = [
-    *((pq, ch, mtop) for pq in [(2, 3), (3, 5), (2, 5)] for ch, mtop in [(2, 3), (3, 2)]),
-    ((5, 7), 2, 3),
-    ((5, 7), 3, 2),
-    ((5, 7), 5, 1),
-    ((7, 9), 2, 3),
-    ((7, 9), 3, 1),
-    ((19, 30), 2, 2),
-    ((15, 34), 2, 2),
+    *((pq, ch, mtop, GUARD) for pq in [(2, 3), (3, 5), (2, 5)] for ch, mtop in [(2, 3), (3, 2)]),
+    ((5, 7), 2, 5, 2 ** 30),
+    ((5, 7), 3, 2, GUARD),
+    ((5, 7), 5, 3, 5 ** 20),
+    ((7, 9), 2, 3, GUARD),
+    ((7, 9), 3, 1, GUARD),
+    ((19, 30), 2, 2, GUARD),
+    ((15, 34), 2, 2, GUARD),
 ]
 
 _ORACLE: dict = {}
@@ -61,13 +65,13 @@ def _oracle_matrix():
     if "runs" in _ORACLE:
         return _ORACLE["runs"]
     runs = []
-    for (p, q), ch, mtop in ORACLE_GRID:
+    for (p, q), ch, mtop, guard in ORACLE_GRID:
         surf = ToricSurface.from_pair(p, q)
         for m in range(1, mtop + 1):
-            cfg = OracleConfig(ch, m)
+            cfg = OracleConfig(ch, m, guard)
             profiles = oracle.fiber_profiles(surf, cfg)
             propagation = all(
-                check_order_propagation(surf, OracleConfig(ch, 2 * s - 1), s)
+                check_order_propagation(surf, OracleConfig(ch, 2 * s - 1, guard), s)
                 for s in range(1, (m + 1) // 2 + 1)
             )
             coverage = coverage_spot_check(surf, cfg, profiles)
@@ -182,7 +186,7 @@ def test_criterion_5_oracle_hard_checks():
     t0 = time.monotonic()
     try:
         runs = _oracle_matrix()
-        assert len(runs) == 29
+        assert len(runs) == 33
         for surf, ch, m, profiles, propagation, strata, coverage in runs:
             key = (surf.p, surf.q, ch, m)
             assert propagation, key

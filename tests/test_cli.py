@@ -387,30 +387,57 @@ def test_no_impossible_profiles_catches_one(capsys, monkeypatch):
     assert doc["coverage"]["impossible"] == 1
 
 
-@pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (2, 5), (5, 7)])
-def test_order_propagation_s2_catches_a_dropped_top_residual(capsys, monkeypatch, p, q):
-    # every parent at level 2 then seems to have member children at level 3
-    monkeypatch.setattr(oracle, "_top_coefficients", lambda coords, m, surface: {})
-    code, out, _ = _run(capsys, ["verify", "--p", str(p), "--q", str(q), "--m", "3",
+def _plant_in_taylor(monkeypatch, edit):
+    """Every (value, grad) of oracle._taylor goes through edit before it is
+    read: the residual series and the derivative series of the binomials."""
+    real = oracle._taylor
+
+    def planted(coords, m, n, surface):
+        return {ij: edit(value, grad) for ij, (value, grad) in real(coords, m, n, surface).items()}
+
+    monkeypatch.setattr(oracle, "_taylor", planted)
+
+
+def _propagation_status(capsys, p, q, m):
+    code, out, _ = _run(capsys, ["verify", "--p", str(p), "--q", str(q), "--m", str(m),
                                  "--field", "2", "--format", "json"])
     status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    return code, {name: st for name, st in status.items() if name.startswith("order_prop")}
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (2, 5), (5, 7)])
+def test_order_propagation_s2_catches_a_dropped_top_residual(capsys, monkeypatch, p, q):
+    # the residual of each upper layer k over its tangent condition,
+    # r_k + sum over g < k of D_(k-g) a_g, is dropped: every layer solves
+    # J(x_0) a_k = 0 as if it had no residual, so every candidate at level 1
+    # with a tangent direction along its pair seems to have members above it
+    _plant_in_taylor(monkeypatch, lambda value, grad: (
+        [0] * len(value), grad[:1] + [[0] * len(g) for g in grad[1:]]))
+    code, status = _propagation_status(capsys, p, q, 3)
     assert code == 1
     assert status["order_propagation_s2"] == "fail"
-    # level 1 over a constant layer has no residual to drop
+    # the t^1 coefficient along a constant layer is zero: no residual to drop
     assert status["order_propagation_s1"] == "pass"
 
 
 def test_order_propagation_s1_catches_a_void_tangent_condition(capsys, monkeypatch):
-    # every constant layer treated as the origin: a member with a unit
-    # coordinate gets all p^e first-order layers
-    monkeypatch.setattr(oracle, "_top_coefficients", lambda coords, m, surface: {})
-    monkeypatch.setattr(oracle, "_jacobian", lambda eqs, x0, p: {
-        (eq.i, eq.j): [0] * len(x0) for eq in eqs})
-    code, out, _ = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
-                                 "--field", "2", "--format", "json"])
-    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    # every constant layer treated as the origin, D_0 = J = 0: a member with
+    # a unit coordinate gets all p^e first-order layers
+    _plant_in_taylor(monkeypatch, lambda value, grad: (value, [[0] * len(g) for g in grad]))
+    code, status = _propagation_status(capsys, 2, 3, 1)
     assert code == 1
     assert status["order_propagation_s1"] == "fail"
+
+
+def test_order_propagation_catches_a_dropped_both_zero_term(capsys, monkeypatch):
+    # Z - Z(a_(s,i) = 0) - Z(a_(s,i+1) = 0) without + Z(both): -Z(both), not
+    # zero, wherever the pair can vanish at layer s
+    real = oracle._solution_count
+    monkeypatch.setattr(oracle, "_solution_count", lambda system, n, p, fixed=(): (
+        0 if len(fixed) == 2 else real(system, n, p, fixed)))
+    code, status = _propagation_status(capsys, 5, 7, 3)
+    assert code == 1
+    assert status == {"order_propagation_s1": "fail", "order_propagation_s2": "fail"}
 
 
 def _plant_cap_off_by(monkeypatch, off):

@@ -113,6 +113,14 @@ def _odometer_propagation(surf, ch, s):
     return True
 
 
+def _may_start(x0, s):
+    """A constant layer below a candidate of order propagation at s: some
+    pair x_i, x_(i+1) with 2 <= i <= e-1 is zero, and at s = 1 some
+    coordinate is a unit."""
+    zero = [not c for c in x0]
+    return any(zero[i - 1] and zero[i] for i in range(2, len(x0))) and (s > 1 or not all(zero))
+
+
 def _check_against_odometer(monkeypatch, p, q, ch, m):
     surf = ToricSurface.from_pair(p, q)
     cfg = OracleConfig(ch, m)
@@ -132,9 +140,12 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_enumerate_members", spy)
             verdict = check_order_propagation(surf, cfg, s)
-        # at s >= 2 the walk stops one level below the top layer it solves
-        level = m if s == 1 else 2 * s - 2
-        assert walked == _odometer_members(surf, ch, level, over_origin=False)
+        # the walk stops at level s-1, from the constant layers that may
+        # start a candidate; the layers s..2s-1 above it are solved
+        assert walked == [
+            rows for rows in _odometer_members(surf, ch, s - 1, over_origin=False)
+            if _may_start([row[0] for row in rows], s)
+        ]
         assert verdict == _odometer_propagation(surf, ch, s)
         assert verdict
 
@@ -221,10 +232,23 @@ def test_origin_shortcut_matches_per_child_lift(p, q, ch, mtop):
     _check_shortcut_against_per_child(p, q, ch, mtop)
 
 
+def _plant_void_derivative_term(monkeypatch, d):
+    """The t^d term of every derivative series reads zero."""
+    real = oracle._taylor
+
+    def planted(coords, m, n, surface):
+        series = real(coords, m, n, surface)
+        for _, grad in series.values():
+            if d < len(grad):
+                grad[d] = [0] * len(grad[d])
+        return series
+
+    monkeypatch.setattr(oracle, "_taylor", planted)
+
+
 def test_shortcut_check_catches_a_shortcut_off_the_origin(monkeypatch):
-    # every node treated as over the origin: J = 0, all children or none
-    monkeypatch.setattr(oracle, "_jacobian", lambda eqs, x0, p: {
-        (eq.i, eq.j): [0] * len(x0) for eq in eqs})
+    # every node treated as over the origin: J = D_0 = 0, all children or none
+    _plant_void_derivative_term(monkeypatch, 0)
     with pytest.raises(AssertionError):
         _check_shortcut_against_per_child(19, 30, 2, 2)
 
@@ -235,6 +259,51 @@ def test_per_child_check_catches_a_pivot_used_as_its_own_inverse(monkeypatch):
     monkeypatch.setattr(oracle, "pow", lambda x, _n, _p: x, raising=False)
     with pytest.raises(AssertionError):
         _check_shortcut_against_per_child(3, 5, 5, 1)
+
+
+def _check_refuting_counts(p, q, ch, s):
+    """Every candidate of order propagation at s and each of its zero pairs,
+    read off the full-space walk to level s-1; each count of solutions
+    against the members listed above the candidate at level 2s-1."""
+    surf = ToricSurface.from_pair(p, q)
+    field = prime_field(ch)
+    e, n = surf.e, surf.e * s
+    want = []
+    for rows in oracle._lift(surf, field, s - 1, [((),) * e]):
+        zero = [not any(row) for row in rows]
+        if not all(zero):
+            want += [(rows, i) for i in range(2, e) if zero[i - 1] and zero[i]]
+    got = list(oracle._refuting_counts(surf, OracleConfig(ch, 2 * s - 1), s))
+    assert sorted((rows, i) for rows, i, _ in got) == sorted(want), (p, q, ch, s)
+    for rows, i, count in got:
+        above = oracle._lift(surf, field, 2 * s - 1, [rows])
+        system = oracle._upper_system(surf, rows, s, ch)
+        for fixed in [(), (i - 1,), (i,), (i - 1, i)]:
+            zeros = sum(not any(jet[l][s] for l in fixed) for jet in above)
+            assert oracle._solution_count(system, n, ch, fixed) == zeros, (rows, i, fixed)
+        both = sum(bool(jet[i - 1][s] and jet[i][s]) for jet in above)
+        assert count == both, (rows, i)
+
+
+# every s with 2s-1 <= m of the odometer and shortcut cells
+REFUTING_CELLS = sorted({
+    *((p, q, ch, (m + 1) // 2) for p, q, ch, m in ODOMETER_CELLS if m % 2),
+    *((p, q, ch, s) for p, q, ch, mtop in SHORTCUT_CELLS for s in range(1, (mtop + 3) // 2)),
+})
+
+
+@pytest.mark.parametrize("p,q,ch,s", REFUTING_CELLS)
+def test_refuting_counts_match_the_listing(p, q, ch, s):
+    _check_refuting_counts(p, q, ch, s)
+
+
+def test_refuting_count_check_catches_a_prefilter_that_skips_the_last_pair(monkeypatch):
+    # the pair x_(e-1), x_e is never looked at, at layer 0 or at level s-1
+    real = oracle._zero_pairs
+    monkeypatch.setattr(oracle, "_zero_pairs", lambda zero: [
+        i for i in real(zero) if i != len(zero) - 1])
+    with pytest.raises(AssertionError):
+        _check_refuting_counts(3, 5, 2, 2)
 
 
 def test_fiber_walk_checks_one_child_per_member(monkeypatch):
@@ -266,18 +335,36 @@ def _check_profiles_against_listing(surf, cfg, jobs=1):
     assert oracle.fiber_profiles(surf, cfg, jobs=jobs) == listed, (surf.p, surf.q, cfg)
 
 
+# m >= 3, where the walk stops at level m-2 and the layer m-1 is solved by
+# D_1: e = 4 and 5 up to m = 5, and F_3 and F_5, where a nonzero pivot need
+# not be its own inverse
+TWO_LAYER_CELLS = [(2, 3, 2, 5), (3, 5, 2, 4), (5, 7, 2, 3), (5, 7, 2, 4), (3, 5, 3, 3),
+                   (2, 3, 5, 3)]
+
+
 @pytest.mark.parametrize("p,q,ch,m", [
     *ODOMETER_CELLS,
     *((p, q, ch, m) for p, q, ch, mtop in SHORTCUT_CELLS for m in range(mtop + 1)),
+    *TWO_LAYER_CELLS,
 ])
 def test_profile_counts_match_the_listing(p, q, ch, m):
-    _check_profiles_against_listing(ToricSurface.from_pair(p, q), OracleConfig(ch, m))
+    # the F_5 cell needs 5^16 > 2^26 of guard, though it lists 765,625 points
+    cfg = OracleConfig(ch, m, guard=1 << 40)
+    _check_profiles_against_listing(ToricSurface.from_pair(p, q), cfg)
 
 
 def test_profile_counts_match_the_listing_across_a_pool():
-    # level m-1 = 2 splits at level 1: the members below the top layer come
-    # from worker processes
-    _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 3), jobs=2)
+    # at m = 4 the walk stops at level m-2 = 2 and splits at level 1: the
+    # nodes below the two solved layers come from worker processes
+    _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 4), jobs=2)
+
+
+def test_profile_count_check_catches_a_void_second_layer_condition(monkeypatch):
+    # D_1 = 0: every node whose t^(m-1) residual vanishes gets all p^e
+    # layers m-1 or none, as if the t^m coefficient were r_m alone
+    _plant_void_derivative_term(monkeypatch, 1)
+    with pytest.raises(AssertionError):
+        _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 3))
 
 
 def test_profile_count_check_catches_a_dropped_residual_filter(monkeypatch):
@@ -441,12 +528,15 @@ def test_jobs_are_clamped_to_the_chunk_count(monkeypatch, pool_sizes):
 
 
 def test_profile_counts_split_only_below_the_top_layer(pool_sizes, monkeypatch):
-    # the walk stops at level m-1 and splits at level 1 as the listing does:
-    # an m = 2 fiber starts no pool, an m = 3 fiber does
+    # the walk stops at level m-1 for m <= 2 and at m-2 above, and splits at
+    # level 1 as the listing does: m = 2 and m = 3 fibers start no pool, an
+    # m = 4 fiber does
     surf = ToricSurface.from_pair(2, 3)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-    two, three = OracleConfig(2, 2), OracleConfig(2, 3)
-    assert oracle.fiber_profiles(surf, two, jobs=64) == oracle.fiber_profiles(surf, two)
+    for m in (2, 3):
+        cfg = OracleConfig(2, m)
+        assert oracle.fiber_profiles(surf, cfg, jobs=64) == oracle.fiber_profiles(surf, cfg)
     assert pool_sizes == []
-    assert oracle.fiber_profiles(surf, three, jobs=64) == oracle.fiber_profiles(surf, three)
+    four = OracleConfig(2, 4)
+    assert oracle.fiber_profiles(surf, four, jobs=64) == oracle.fiber_profiles(surf, four)
     assert pool_sizes == [16]
