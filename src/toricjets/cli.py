@@ -228,11 +228,11 @@ def _analyze_csv(doc: dict) -> str:
 
 def _verify_doc(surface: ToricSurface, args) -> dict:
     """Every verification check for one surface; exit status follows "result"."""
-    m, field, guard, jobs = args.m, args.field, args.guard, args.jobs
+    m, field, guard = args.m, args.field, args.guard
     t0 = time.monotonic()
     # the fiber is charged the largest budget, p^(e(m+1)): refuse before any work
     config = OracleConfig(field, m, guard)
-    profiles = fiber_profiles(surface, config, jobs=jobs)
+    profiles = fiber_profiles(surface, config)
     checks = []
 
     def check(name, ok, detail, hard=True):
@@ -269,7 +269,7 @@ def _verify_doc(surface: ToricSurface, args) -> dict:
     visited = field ** (surface.e * m)
     for s in range(1, (m + 1) // 2 + 1):
         sub = OracleConfig(field, 2 * s - 1, guard)
-        ok = check_order_propagation(surface, sub, s, jobs=jobs)
+        ok = check_order_propagation(surface, sub, s)
         visited += field ** (surface.e * 2 * s)
         check(f"order_propagation_s{s}", ok, f"full space at m={2 * s - 1}")
 
@@ -469,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat experimental count mismatches as hard failures",
     )
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes for enumeration")
+    sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored: single process")
 
     sp = sub.add_parser("witness", help="produce the arc realizing a contact label (i, s, l)")
     add_common(sp)

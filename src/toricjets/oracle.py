@@ -31,12 +31,9 @@ boolean lemma checks are hard.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
@@ -251,32 +248,6 @@ def _lift(surface, field, m, coords):
     return coords
 
 
-def _enumerate_members(
-    surface: ToricSurface, config: OracleConfig, start: list, jobs: int = 1
-) -> list[tuple]:
-    """Coordinate rows of all member jets at level m above the start members, sorted.
-
-    Lexicographic order on rows is the order of an odometer over the
-    coefficients flattened coordinate by coordinate.  With jobs > 1 and
-    m >= 2 the walk runs to level 1 here, and the subtrees of the level-1
-    members go to a pool of at most one process per CPU and per subtree; the
-    sort makes the result independent of how the work was split.  Rows hold
-    residues reduced into 0..p-1.
-    """
-    _check_guard(surface, config)
-    field = prime_field(config.characteristic)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or config.m <= 1:  # at m <= 1 the roots are the whole walk
-        coords = _lift(surface, field, config.m, start)
-    else:
-        roots = _lift(surface, field, 1, start)
-        subtree = functools.partial(_lift, surface, field, config.m)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(roots))) as pool:
-            chunks = list(pool.map(subtree, ([rows] for rows in roots)))
-        coords = [rows for chunk in chunks for rows in chunk]
-    return sorted(coords)
-
-
 class _Orders(dict):
     """Row -> coordinate order, filled on first lookup.
 
@@ -288,17 +259,17 @@ class _Orders(dict):
         return order
 
 
-def enumerate_fiber(
-    surface: ToricSurface, config: OracleConfig, jobs: int = 1
-) -> list[FiberPoint]:
+def enumerate_fiber(surface: ToricSurface, config: OracleConfig) -> list[FiberPoint]:
     """Every member jet over the singular point, with its contact profile.
 
     The walk starts from the zero constant layer, where each member's
     children are all p^e extensions or none; the guard is still charged for
-    the full p^(e(m+1)) space.  Points come sorted by coefficients.
+    the full p^(e(m+1)) space.  Points come sorted by coefficients, in the
+    order of an odometer over them flattened coordinate by coordinate.
     """
-    members = _enumerate_members(surface, config, [((0,),) * surface.e], jobs)
+    _check_guard(surface, config)
     field = prime_field(config.characteristic)
+    members = sorted(_lift(surface, field, config.m, [((0,),) * surface.e]))
     orders = _Orders()
     return [
         FiberPoint(TruncatedJet(field, config.m, rows), tuple(orders[row] for row in rows))
@@ -306,9 +277,7 @@ def enumerate_fiber(
     ]
 
 
-def fiber_profiles(
-    surface: ToricSurface, config: OracleConfig, jobs: int = 1
-) -> Counter:
+def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
     """Number of fiber points of each contact profile, without listing them.
 
     Equals Counter(fp.profile for fp in enumerate_fiber(...)).  The guard is
@@ -337,16 +306,17 @@ def fiber_profiles(
     e, m, p = surface.e, config.m, config.characteristic
     if m == 0:
         return Counter({(ABOVE_M,) * e: 1})
+    field = prime_field(p)
     origin = [((0,),) * e]
     orders = _Orders()
     shapes = Counter()
     if m <= 2:
-        for rows in _enumerate_members(surface, replace(config, m=m - 1), origin, jobs):
+        for rows in _lift(surface, field, m - 1, origin):
             if not any(c % p for c in _top_coefficients(rows, m, surface).values()):
                 shapes[tuple(orders[row] for row in rows)] += 1
     else:
         solvers = _Solvers(surface, p, 1)
-        for rows in _enumerate_members(surface, replace(config, m=m - 2), origin, jobs):
+        for rows in _lift(surface, field, m - 2, origin):
             series = _taylor(rows, m, -1, surface)
             if any(value[m - 1] % p for value, _ in series.values()):
                 continue
@@ -400,7 +370,7 @@ def _solution_count(system, n: int, p: int, fixed=()) -> int:
     return 0 if n in pivots else p ** (n - len(fixed) - len(pivots))
 
 
-def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int, jobs: int = 1):
+def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
     """Yield (rows, i, count) for each candidate and each of its zero pairs.
 
     A candidate is a member at level s-1 with a finite coordinate order,
@@ -420,12 +390,13 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int, jobs: 
         zero = [not c for c in x0]
         return _zero_pairs(zero) and (s > 1 or not all(zero))
 
+    field = prime_field(p)
     layers = filter(may_start, itertools.product(range(p), repeat=e))
-    start = _constant_members(surface, prime_field(p), layers)
+    start = _constant_members(surface, field, layers)
     if not start:
         return
     n = e * s
-    for rows in _enumerate_members(surface, replace(config, m=s - 1), start, jobs):
+    for rows in _lift(surface, field, s - 1, start):
         zero = [not any(row) for row in rows]
         pairs = _zero_pairs(zero)
         if all(zero) or not pairs:
@@ -441,9 +412,7 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int, jobs: 
             )
 
 
-def check_order_propagation(
-    surface: ToricSurface, config: OracleConfig, s: int, jobs: int = 1
-) -> bool:
+def check_order_propagation(surface: ToricSurface, config: OracleConfig, s: int) -> bool:
     """At m = 2s-1: members with ord x_i = ord x_{i+1} = s have all orders >= s.
 
     Covers the members of the full space, constant terms included: the
@@ -464,7 +433,7 @@ def check_order_propagation(
             f"order propagation needs m = 2s-1 = {2 * s - 1}, config has m={config.m}"
         )
     _check_guard(surface, config)
-    return not any(count for _, _, count in _refuting_counts(surface, config, s, jobs))
+    return not any(count for _, _, count in _refuting_counts(surface, config, s))
 
 
 def coverage_spot_check(

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import random
 import re
 import subprocess
@@ -335,8 +336,8 @@ def _plant_in_fiber(monkeypatch, edit):
     are classified."""
     real = cli.fiber_profiles
 
-    def planted(surface, config, jobs=1):
-        profiles = real(surface, config, jobs=jobs)
+    def planted(surface, config):
+        profiles = real(surface, config)
         edit(profiles)
         return profiles
 
@@ -476,14 +477,19 @@ def test_witness_detail_counts_the_realized_labels(capsys, monkeypatch):
     assert checks["monomial_arc_witnesses"]["detail"] == "9 of 13 labels realized"
 
 
-def test_verify_jobs_flag(capsys):
-    code_seq, out_seq, _ = _run(capsys, ["verify", "--p", "3", "--q", "5", "--m", "2",
-                                         "--field", "2", "--format", "csv"])
-    code_par, out_par, _ = _run(capsys, ["verify", "--p", "3", "--q", "5", "--m", "2",
-                                         "--field", "2", "--format", "csv",
-                                         "--jobs", "2"])
-    assert code_seq == code_par == 0
-    assert out_seq == out_par
+def test_verify_jobs_flag(capsys, monkeypatch):
+    # --jobs is accepted and ignored: the output is the same and no process
+    # starts, even at m = 4, where the fiber walk reaches level 2
+    def no_process(self):
+        raise AssertionError("verify started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    for p, q, m in [("3", "5", "2"), ("2", "3", "4")]:
+        argv = ["verify", "--p", p, "--q", q, "--m", m, "--field", "2", "--format", "csv"]
+        code_seq, out_seq, _ = _run(capsys, argv)
+        code_par, out_par, _ = _run(capsys, argv + ["--jobs", "2"])
+        assert code_seq == code_par == 0
+        assert out_seq == out_par
 
 
 def test_usage_error_exits_2():

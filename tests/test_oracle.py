@@ -130,7 +130,7 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
     if m % 2:  # order propagation runs at m = 2s-1 over the full space
         s = (m + 1) // 2
         walked = []
-        real = oracle._enumerate_members
+        real = oracle._lift
 
         def spy(*args):
             rows = real(*args)
@@ -138,11 +138,11 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
             return rows
 
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_enumerate_members", spy)
+            patch.setattr(oracle, "_lift", spy)
             verdict = check_order_propagation(surf, cfg, s)
         # the walk stops at level s-1, from the constant layers that may
         # start a candidate; the layers s..2s-1 above it are solved
-        assert walked == [
+        assert sorted(walked) == [
             rows for rows in _odometer_members(surf, ch, s - 1, over_origin=False)
             if _may_start([row[0] for row in rows], s)
         ]
@@ -330,9 +330,9 @@ def test_fiber_walk_checks_one_child_per_member(monkeypatch):
     assert checks == []
 
 
-def _check_profiles_against_listing(surf, cfg, jobs=1):
+def _check_profiles_against_listing(surf, cfg):
     listed = Counter(fp.profile for fp in oracle.enumerate_fiber(surf, cfg))
-    assert oracle.fiber_profiles(surf, cfg, jobs=jobs) == listed, (surf.p, surf.q, cfg)
+    assert oracle.fiber_profiles(surf, cfg) == listed, (surf.p, surf.q, cfg)
 
 
 # m >= 3, where the walk stops at level m-2 and the layer m-1 is solved by
@@ -351,12 +351,6 @@ def test_profile_counts_match_the_listing(p, q, ch, m):
     # the F_5 cell needs 5^16 > 2^26 of guard, though it lists 765,625 points
     cfg = OracleConfig(ch, m, guard=1 << 40)
     _check_profiles_against_listing(ToricSurface.from_pair(p, q), cfg)
-
-
-def test_profile_counts_match_the_listing_across_a_pool():
-    # at m = 4 the walk stops at level m-2 = 2 and splits at level 1: the
-    # nodes below the two solved layers come from worker processes
-    _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 4), jobs=2)
 
 
 def test_profile_count_check_catches_a_void_second_layer_condition(monkeypatch):
@@ -463,80 +457,3 @@ def test_monomial_arcs_appear_in_the_fiber():
     fiber_coords = {fp.jet.coords for fp in enumerate_fiber(surf, cfg)}
     arc = monomial_arc(surf, (1, 1), 2, field=prime_field(2))
     assert arc.coords in fiber_coords
-
-
-def test_parallel_matches_sequential():
-    surf = ToricSurface.from_pair(3, 5)
-    cfg = OracleConfig(2, 2)
-    seq = enumerate_fiber(surf, cfg, jobs=1)
-    par = enumerate_fiber(surf, cfg, jobs=2)
-    assert [fp.jet.coords for fp in seq] == [fp.jet.coords for fp in par]
-    assert [fp.profile for fp in seq] == [fp.profile for fp in par]
-    assert check_order_propagation(surf, OracleConfig(2, 3), 2, jobs=2)
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swap in a fake pool that records its size and maps in-process: no
-    worker starts.  Yields the list of recorded sizes."""
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
-    yield sizes
-
-
-def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, pool_sizes):
-    surf = ToricSurface.from_pair(3, 5)
-    cfg = OracleConfig(2, 2)
-    seq = [fp.jet.coords for fp in enumerate_fiber(surf, cfg)]
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-    assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=64)] == seq
-    assert pool_sizes == [3]
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)  # unknown: one worker
-    assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=64)] == seq
-    assert pool_sizes == [3]
-
-
-def test_jobs_are_clamped_to_the_chunk_count(monkeypatch, pool_sizes):
-    # (2,3) at F_2 over the origin has 2^4 level-1 members: at most 16 chunks
-    surf = ToricSurface.from_pair(2, 3)
-    cfg = OracleConfig(2, 2)
-    seq = [fp.jet.coords for fp in enumerate_fiber(surf, cfg)]
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-    assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=64)] == seq
-    assert pool_sizes == [16]
-    assert [fp.jet.coords for fp in enumerate_fiber(surf, cfg, jobs=5)] == seq
-    assert pool_sizes == [16, 5]
-    # at m = 1 the level-1 members are the whole walk: no pool starts
-    one = OracleConfig(2, 1)
-    seq = [fp.jet.coords for fp in enumerate_fiber(surf, one)]
-    assert [fp.jet.coords for fp in enumerate_fiber(surf, one, jobs=64)] == seq
-    assert pool_sizes == [16, 5]
-
-
-def test_profile_counts_split_only_below_the_top_layer(pool_sizes, monkeypatch):
-    # the walk stops at level m-1 for m <= 2 and at m-2 above, and splits at
-    # level 1 as the listing does: m = 2 and m = 3 fibers start no pool, an
-    # m = 4 fiber does
-    surf = ToricSurface.from_pair(2, 3)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-    for m in (2, 3):
-        cfg = OracleConfig(2, m)
-        assert oracle.fiber_profiles(surf, cfg, jobs=64) == oracle.fiber_profiles(surf, cfg)
-    assert pool_sizes == []
-    four = OracleConfig(2, 4)
-    assert oracle.fiber_profiles(surf, four, jobs=64) == oracle.fiber_profiles(surf, four)
-    assert pool_sizes == [16]
