@@ -6,9 +6,9 @@ products are truncated convolutions computed on the sparse support, which
 makes monomial arcs (single-term coordinates) cheap to test for membership.
 Membership walks the binomials of equations.minus_walk: for a fixed i the
 minus monomials are one running product, grown by one factor per equation,
-so a check costs O(e^2) sparse products rather than O(e^3).  The same walk
-gives the coefficients and derivative series that the oracle's lifting and
-solving read.
+so a check costs O(e^2) sparse products rather than O(e^3).  The same walk,
+through _taylor, gives the coefficients and derivative series of the one
+linear system by which the oracle lifts member jets.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
     times one closing factor, so each binomial costs a bounded number of
     sparse products and the walk is O(e^2), not O(e^3); a running product
     that has truncated to zero stays zero for that i.  This is the one loop
-    over the binomials: is_member, _top_coefficients and _taylor all read it.
+    over the binomials: is_member and _taylor both read it.
 
     With n < 0 a binomial whose sides have equal term lists vanishes without
     any reduction and is skipped, and grad is empty.  With 0 <= n <= m every
@@ -285,18 +285,6 @@ def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
             if not is_zero(c):
                 return False
     return True
-
-
-def _top_coefficients(coords, m: int, surface: ToricSurface) -> dict:
-    """The t^m coefficient of each binomial (i, j) along coords, keyed by (i, j).
-
-    Rows may stop below t^m; missing coefficients are zero.  A binomial left
-    out has coefficient zero; values are unreduced, as from evaluate.
-    """
-    return {
-        ij: sum(c for d, c in plus if d == m) - sum(c for d, c in minus if d == m)
-        for ij, plus, minus, _ in _binomial_series(_sparse_rows(coords), m, surface)
-    }
 
 
 def _taylor(coords, m: int, n: int, surface: ToricSurface) -> dict:

@@ -4,29 +4,27 @@ Everything here accounts for every member jet of a level over a prime field
 at desk scale and checks the classification lemmas on all of them:
 membership, the fiber over the singular point, order propagation, and, in
 one pass over the fiber's order profiles, stratum sizes, minimum orders and
-impossible profiles.  The members are found by lifting: those at level d
-are the members at level d-1 extended by one coefficient layer.  Above the
-constant layer the extensions of a member form an affine space over the
-Zariski tangent space at its constant layer, or are empty (Mustata, Invent.
-Math. 2001), so each member costs one residual evaluation and one linear
-solve mod p; over the origin the tangent condition is void and the
-extensions are all p^e layers or none.
+impossible profiles.
 
-The checks walk only the lower levels and solve the upper ones.  Above a
-member x_low at level h, the member jets at level m <= 2h+1 are the
-solutions of one linear system over F_p in the layers h+1..m: for each
-binomial f and each k, r_k + sum over g <= k of D_(k-g) a_g = 0, with r_k
-the t^k coefficient of f along x_low and D_d the t^d term of its
-derivative series, since any product of two upper layers lands past t^m
-(Denef-Loeser, Invent. Math. 1999; Ein-Mustata, 2009).  The system is
-block lower-triangular with J(x_0) = D_0 on its diagonal.
+The members are found by one lifting mechanism.  Above a member x_low at
+level h, the member jets at level m <= 2h+1 are the solutions of one linear
+system over F_p in the layers h+1..m: for each binomial f and each k,
+r_k + sum over g <= k of D_(k-g) a_g = 0, with r_k the t^k coefficient of f
+along x_low and D_d the t^d term of its derivative series, since any
+product of two upper layers lands past t^m (Denef-Loeser, Invent. Math.
+1999; Ein-Mustata, 2009).  The system is block lower-triangular with the
+Jacobian J(x_0) = D_0 on its diagonal, and over the origin J = 0.  Only the
+constant layer is nonlinear, and it is checked choice by choice.  Above it
+a walk doubles its level at each step, 0, 1, 3, 7, ..., and each member it
+reaches costs one pass over the binomials and one elimination mod p.
+
 check_order_propagation walks the full space to level s-1 and counts, by
 ranks, the members at level 2s-1 above each candidate that would refute
-the lemma; fiber_profiles walks the origin to level m-2 and solves the
-layer m-1 from D_1, then counts the top layer by contact profile.
-enumerate_fiber still lists every point.  Point counts over F_p are
-heuristic evidence for dimensions and are reported as experimental; the
-boolean lemma checks are hard.
+the lemma; fiber_profiles walks the origin to level m // 2, lists the
+layers above it through m-1, and counts the top layer by contact profile.
+enumerate_fiber lists every point.  Point counts over F_p are heuristic
+evidence for dimensions and are reported as experimental; the boolean lemma
+checks are hard.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
 from .errors import GuardExceededError, InputRangeError
-from .jets import ABOVE_M, TruncatedJet, _taylor, _top_coefficients, is_member, prime_field
+from .jets import ABOVE_M, TruncatedJet, _taylor, is_member, prime_field
 from .lattice import ToricSurface
 
 DEFAULT_GUARD = 1 << 26
@@ -145,68 +143,63 @@ def _row_reduce(rows, ncols: int, p: int) -> list:
     return pivots
 
 
-def _tangent_solver(jac, p: int, e: int):
-    """solve(r): every layer a in F_p^e with jac . a = -r (mod p).
+def _upper_system(surface: ToricSurface, rows, u: int, m: int, p: int) -> list:
+    """Rows [A | b] of the system A a = b whose solutions are the layers
+    h+1..u of the member jets at level m above the member rows at level h,
+    for h < u <= m <= 2h+1.
 
-    jac maps row keys to rows reduced mod p, and r maps row keys to values,
-    a missing key being zero.  Gauss-Jordan on [jac | I] brings jac to
-    reduced row echelon form E = T jac, once per matrix.  A right-hand side
-    then costs T . (-r): rows past the rank must vanish, and the pivot
-    coordinates of a particular solution are read off the rest.  The kernel,
-    one layer per assignment of the e - rank free coordinates, is listed
-    once and shifted by it.
+    Unknown (g - h - 1) e + l is the coefficient a_(g, l) of x_(l+1) at t^g.
+    Each binomial f gives one equation per k = h+1..m,
+    r_k + sum over g = h+1..min(k, u) and l of D_(k-g)[l] a_(g, l) = 0, with
+    r_k the t^k coefficient of f along rows and D_d[l] the t^d term of
+    df/dx_(l+1): the Taylor expansion, since a product of two upper layers
+    lands at t^(2h+2) or above.  The layers u+1..m would enter only through
+    D_0, so u < m is for rows over the origin, where D_0 = 0 and those
+    layers are free.  Entries are reduced mod p.
     """
-    keys = list(jac)
-    n = len(keys)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(jac.values())]
-    pivots = _row_reduce(aug, e, p)
-    rank = len(pivots)
-    free = [col for col in range(e) if col not in pivots]
-    kernel = []
-    for values in itertools.product(range(p), repeat=len(free)):
-        a = [0] * e
-        for col, v in zip(free, values):
-            a[col] = v
-        for row, col in zip(aug, pivots):
-            a[col] = -sum(row[f] * a[f] for f in free) % p
-        kernel.append(tuple(a))
-    transform = [[(keys[j], t) for j, t in enumerate(row[e:]) if t] for row in aug]
-
-    def solve(r):
-        b = [-sum(t * r.get(key, 0) for key, t in row) % p for row in transform]
-        if any(b[rank:]):
-            return []
-        if not any(b):
-            return kernel
-        shift = [0] * e
-        for col, v in zip(pivots, b):
-            shift[col] = v
-        return [tuple((x + y) % p for x, y in zip(a, shift)) for a in kernel]
-
-    return solve
+    e, h = surface.e, len(rows[0]) - 1
+    system = []
+    for value, grad in _taylor(rows, m, m - h - 1, surface).values():
+        for k in range(h + 1, m + 1):
+            row = [0] * (e * (u - h)) + [-value[k] % p]
+            for g in range(h + 1, min(k, u) + 1):
+                row[(g - h - 1) * e:(g - h) * e] = [c % p for c in grad[k - g]]
+            system.append(row)
+    return system
 
 
-class _Solvers(dict):
-    """Layer c -> _tangent_solver of D_d, built on first lookup.
+def _solution_count(system, n: int, p: int, fixed=()) -> int:
+    """Number of solutions in F_p^n of the rows [A | b] with the unknowns in
+    fixed set to zero: p^(n - |fixed| - rank), or 0 when b is a pivot."""
+    rows = [[0 if col in fixed else x for col, x in enumerate(row)] for row in system]
+    pivots = _row_reduce(rows, n + 1, p)
+    return 0 if n in pivots else p ** (n - len(fixed) - len(pivots))
 
-    D_d is the t^d term of the derivative series along the jet whose layers
-    below d are zero and whose layer d is c; d is 0 unless given.  D_0 at the
-    constant layer is the Jacobian J(x_0) of the tangent lifting.  Over the
-    origin D_1 along a jet depends on its layer 1 alone, every derivative of
-    a binomial being a polynomial without constant term.
+
+def _solutions(system, n: int, p: int) -> list:
+    """Every solution in F_p^n of the rows [A | b], as tuples; reduces
+    system in place.
+
+    After Gauss-Jordan a pivot unknown is its row's b less the row's terms
+    in the free unknowns.  The free unknowns that some pivot row reads are
+    enumerated here, one pivot solve per assignment; the others take every
+    value of F_p through itertools.product, so an unknown that no pivot row
+    reads, such as a layer that no equation holds, costs no arithmetic.
     """
-
-    def __init__(self, surface: ToricSurface, p: int, d: int = 0):
-        super().__init__()
-        self.surface, self.p, self.d = surface, p, d
-
-    def __missing__(self, layer):
-        d, p = self.d, self.p
-        rows = tuple((0,) * d + (c,) for c in layer)
-        jac = {ij: [c % p for c in grad[d]]
-               for ij, (_, grad) in _taylor(rows, d, d, self.surface).items()}
-        solve = self[layer] = _tangent_solver(jac, p, self.surface.e)
-        return solve
+    pivots = _row_reduce(system, n + 1, p)
+    if n in pivots:
+        return []
+    reduced = system[:len(pivots)]
+    read = sorted({col for row in reduced for col in range(n) if row[col]} - set(pivots))
+    choices = [range(p)] * n
+    out = []
+    for values in itertools.product(range(p), repeat=len(read)):
+        for col, v in zip(read, values):
+            choices[col] = (v,)
+        for row, col in zip(reduced, pivots):
+            choices[col] = ((row[n] - sum(row[f] * v for f, v in zip(read, values))) % p,)
+        out.extend(itertools.product(*choices))
+    return out
 
 
 def _constant_members(surface, field, layers) -> list:
@@ -219,32 +212,29 @@ def _constant_members(surface, field, layers) -> list:
 def _lift(surface, field, m, coords):
     """Coordinate rows of the member jets at level m above the given members.
 
-    coords holds the rows of members of one level k < m, or empty rows
-    (k = -1).  A truncation of a member is a member, so lifting the members
-    one layer at a time misses none.  The constant layer is nonlinear: each
-    of its p^e choices is checked with is_member.  Above it the fiber is
-    affine, modelled on the tangent space at the constant layer: write x for
-    a level k-1 member padded with a zero layer k >= 1.  Along x + a t^k the
-    t^k coefficient of each binomial is r(x) + J(x_0) a, with r(x) its t^k
-    coefficient along x and J(x_0) the Jacobian at the constant layer, since
-    every term of degree >= 2 in a lands at t^(2k) or above; the lower
-    coefficients are those along the member x, all zero.  So the member
-    children are the solutions of J(x_0) a = -r(x) mod p: one residual per
-    node, and one elimination per distinct constant layer.  Over the origin
-    J = 0, because every binomial monomial has degree >= 2: all p^e children
-    or none, the rank-0 case.
+    coords holds the rows of members of one level h < m, or empty rows
+    (h = -1).  A truncation of a member is a member, so lifting the members
+    misses none.  The constant layer is nonlinear: each of its p^e choices
+    is checked with is_member.  Above it the walk doubles: the member jets
+    at level u = min(2h+1, m) above a member at level h are the solutions of
+    _upper_system in the layers h+1..u, since any product of two of those
+    layers lands past t^u.  Each member costs one pass over the binomials,
+    with its derivative series through t^(u-h-1), and one elimination, and
+    the levels walked are 0, 1, 3, 7, ... up to m.  At h = 0 the system is
+    J(x_0) a = 0, the tangent space at the constant layer; over the origin
+    J = 0, because every binomial monomial has degree >= 2, so the system
+    has rank 0 and its solutions are all p^e layers.
     """
     p, e = field.characteristic, surface.e
     if not coords[0][0]:  # the constant layer, child by child
         coords = _constant_members(surface, field, itertools.product(range(p), repeat=e))
-    solvers = _Solvers(surface, p)
-    for k in range(len(coords[0][0]), m + 1):
-        lifted = []
-        for rows in coords:
-            solve = solvers[tuple(row[0] for row in rows)]
-            for layer in solve(_top_coefficients(rows, k, surface)):
-                lifted.append(tuple(row + (c,) for row, c in zip(rows, layer)))
-        coords = lifted
+    while coords and (h := len(coords[0][0]) - 1) < m:
+        u = min(2 * h + 1, m)
+        coords = [
+            tuple(row + a[l::e] for l, row in enumerate(rows))
+            for rows in coords
+            for a in _solutions(_upper_system(surface, rows, u, u, p), e * (u - h), p)
+        ]
     return coords
 
 
@@ -262,10 +252,10 @@ class _Orders(dict):
 def enumerate_fiber(surface: ToricSurface, config: OracleConfig) -> list[FiberPoint]:
     """Every member jet over the singular point, with its contact profile.
 
-    The walk starts from the zero constant layer, where each member's
-    children are all p^e extensions or none; the guard is still charged for
-    the full p^(e(m+1)) space.  Points come sorted by coefficients, in the
-    order of an odometer over them flattened coordinate by coordinate.
+    The walk starts from the zero constant layer, where the first step's
+    solutions are all p^e layers; the guard is still charged for the full
+    p^(e(m+1)) space.  Points come sorted by coefficients, in the order of
+    an odometer over them flattened coordinate by coordinate.
     """
     _check_guard(surface, config)
     field = prime_field(config.characteristic)
@@ -282,48 +272,40 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
 
     Equals Counter(fp.profile for fp in enumerate_fiber(...)).  The guard is
     charged for the full p^(e(m+1)) space; the walk over the origin then
-    stops below the top and the top two layers are solved.
+    stops at level h = m // 2, and the layers above it are solved.
 
-    The top layer: over the origin J = 0, so a member x at level m-1 has all
-    p^e layers as member children when every t^m coefficient of the
-    binomials along x vanishes mod p, and none otherwise.  A child keeps the
-    order of every nonzero row of x; a zero row takes order m under each of
-    the p-1 nonzero top coefficients and stays above m under zero.  With O
-    the zero rows of x, the profile with order m on T within O and above m
-    on the rest of O thus has (p-1)^|T| p^(e-|O|) children.  Members are
+    The layers h+1..m-1: above a member x at level h, the member jets at
+    level m are the solutions of _upper_system in the layers h+1..m with
+    its equations through t^m, as m <= 2h+1.  Over the origin D_0 = 0, so
+    the equation at t^(h+1) is r_(h+1)(x) = 0 alone, which rejects most
+    nodes before any derivative series is built, and the layer m enters no
+    equation: the system is solved in the layers h+1..m-1 only, and each
+    solution is a member at level m-1 with all p^e top layers as children.
+    At m <= 2 there are no such layers, and the residual test is the whole
+    system.
+
+    The top layer is counted, not listed.  A child keeps the order of every
+    nonzero row of its level m-1 member; a zero row takes order m under
+    each of the p-1 nonzero top coefficients and stays above m under zero.
+    With O the zero rows, the profile with order m on T within O and above
+    m on the rest of O thus has (p-1)^|T| p^(e-|O|) children.  Members are
     grouped by profile, their shape, before this is expanded.
-
-    The layer below it, at m >= 3: the walk stops at level m-2.  Along
-    x + a t^(m-1) the t^(m-1) coefficient is r_(m-1)(x), as D_0 = J = 0, and
-    the t^m coefficient is r_m(x) + D_1(x) a, with D_1 the t^1 term of the
-    derivative series along x; every term of degree >= 2 in a lands at
-    t^(2m-2) > t^m.  So a node x whose t^(m-1) residual vanishes has as
-    level m-1 members with member children exactly the x + a t^(m-1) with
-    D_1(x) a = -r_m(x), and each gives its shape: a zero row of x takes
-    order m-1 where a is nonzero.  At m <= 2 the walk stops at level m-1.
     """
     _check_guard(surface, config)
     e, m, p = surface.e, config.m, config.characteristic
     if m == 0:
         return Counter({(ABOVE_M,) * e: 1})
-    field = prime_field(p)
-    origin = [((0,),) * e]
+    h = m // 2
     orders = _Orders()
     shapes = Counter()
-    if m <= 2:
-        for rows in _lift(surface, field, m - 1, origin):
-            if not any(c % p for c in _top_coefficients(rows, m, surface).values()):
-                shapes[tuple(orders[row] for row in rows)] += 1
-    else:
-        solvers = _Solvers(surface, p, 1)
-        for rows in _lift(surface, field, m - 2, origin):
-            series = _taylor(rows, m, -1, surface)
-            if any(value[m - 1] % p for value, _ in series.values()):
-                continue
-            shape = [orders[row] for row in rows]
-            top = {ij: value[m] for ij, (value, _) in series.items()}
-            for a in solvers[tuple(row[1] for row in rows)](top):
-                shapes[tuple(m - 1 if o is ABOVE_M and c else o for o, c in zip(shape, a))] += 1
+    for rows in _lift(surface, prime_field(p), h, [((0,),) * e]):
+        if any(value[h + 1] % p for value, _ in _taylor(rows, h + 1, -1, surface).values()):
+            continue
+        upper = [()]
+        if h + 1 < m:
+            upper = _solutions(_upper_system(surface, rows, m - 1, m, p), e * (m - 1 - h), p)
+        for a in upper:
+            shapes[tuple(orders[row + a[l::e]] for l, row in enumerate(rows))] += 1
     profiles = Counter()
     for shape, n in shapes.items():
         weight = n * p ** sum(o is not ABOVE_M for o in shape)
@@ -338,36 +320,6 @@ def _zero_pairs(zero) -> list:
     """The i in 2..e-1 with coordinates x_i and x_(i+1) both flagged in zero,
     a sequence of e flags indexed from 0."""
     return [i for i in range(2, len(zero)) if zero[i - 1] and zero[i]]
-
-
-def _upper_system(surface: ToricSurface, rows, s: int, p: int) -> list:
-    """Rows [A | b] of the system A a = b whose solutions are the layers
-    s..2s-1 of the member jets above the member rows at level s-1.
-
-    Unknown (g - s) e + l is the coefficient a_(g, l) of x_(l+1) at t^g.
-    Each binomial f gives one equation per k = s..2s-1,
-    r_k + sum over g = s..k and l of D_(k-g)[l] a_(g, l) = 0, with r_k the
-    t^k coefficient of f along rows and D_d[l] the t^d term of df/dx_(l+1):
-    the Taylor expansion, since a product of two upper layers lands at
-    t^(2s) or above.  Entries are reduced mod p.
-    """
-    e = surface.e
-    system = []
-    for value, grad in _taylor(rows, 2 * s - 1, s - 1, surface).values():
-        for k in range(s, 2 * s):
-            row = [0] * (e * s) + [-value[k] % p]
-            for g in range(s, k + 1):
-                row[(g - s) * e:(g - s + 1) * e] = [c % p for c in grad[k - g]]
-            system.append(row)
-    return system
-
-
-def _solution_count(system, n: int, p: int, fixed=()) -> int:
-    """Number of solutions in F_p^n of the rows [A | b] with the unknowns in
-    fixed set to zero: p^(n - |fixed| - rank), or 0 when b is a pivot."""
-    rows = [[0 if col in fixed else x for col, x in enumerate(row)] for row in system]
-    pivots = _row_reduce(rows, n + 1, p)
-    return 0 if n in pivots else p ** (n - len(fixed) - len(pivots))
 
 
 def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
@@ -401,7 +353,7 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
         pairs = _zero_pairs(zero)
         if all(zero) or not pairs:
             continue
-        system = _upper_system(surface, rows, s, p)
+        system = _upper_system(surface, rows, 2 * s - 1, 2 * s - 1, p)
         total = _solution_count(system, n, p)
         for i in pairs:
             yield rows, i, (

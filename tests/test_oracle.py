@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -164,23 +165,18 @@ def test_lifting_walk_matches_the_odometer(monkeypatch, p, q, ch, m):
 
 
 def test_odometer_check_catches_a_kept_non_member(monkeypatch):
-    # the first node without member children gets its zero layer anyway
-    real = oracle._tangent_solver
+    # the first node without member children gets its zero layers anyway
+    real = oracle._solutions
     kept = []
 
-    def leaky(jac, p, e):
-        solve = real(jac, p, e)
+    def leaky(system, n, p):
+        layers = real(system, n, p)
+        if not layers and not kept:
+            kept.append(n)
+            return [(0,) * n]
+        return layers
 
-        def planted(r):
-            layers = solve(r)
-            if not layers and not kept:
-                kept.append(r)
-                return [(0,) * e]
-            return layers
-
-        return planted
-
-    monkeypatch.setattr(oracle, "_tangent_solver", leaky)
+    monkeypatch.setattr(oracle, "_solutions", leaky)
     with pytest.raises(AssertionError):
         _check_against_odometer(monkeypatch, 3, 5, 2, 2)
     assert kept
@@ -194,7 +190,7 @@ def test_odometer_check_catches_a_missing_sort(monkeypatch):
 
 def _per_child_levels(surface, field, m):
     """Reference: the lifting walk with one is_member call per child and no
-    tangent-space solve, from the empty rows.  Returns the sorted members of
+    linear solve, from the empty rows.  Returns the sorted members of
     every level 0..m over the full space."""
     layers = list(itertools.product(field.elements(), repeat=surface.e))
     coords = [((),) * surface.e]
@@ -261,6 +257,48 @@ def test_per_child_check_catches_a_pivot_used_as_its_own_inverse(monkeypatch):
         _check_shortcut_against_per_child(3, 5, 5, 1)
 
 
+def _random_systems(p, seed):
+    """Seeded (n, rows [A | b]) over F_p for n = 0..4 unknowns and up to
+    three random rows; each system with two rows or more comes again with a
+    combination of its first two rows added, rank-deficient, and with that
+    combination's b shifted by one, inconsistent."""
+    rng = random.Random(seed)
+    for n in range(5):
+        for _ in range(12):
+            rows = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(rng.randrange(4))]
+            yield n, rows
+            if len(rows) >= 2:
+                c, d = rng.randrange(1, p), rng.randrange(p)
+                combo = [(c * x + d * y) % p for x, y in zip(rows[0], rows[1])]
+                yield n, rows + [combo]
+                yield n, rows + [combo[:n] + [(combo[n] + 1) % p]]
+
+
+def _check_solutions_against_scan(p):
+    """Each solution listing, and each solution count, against every vector
+    of F_p^n tested in every equation."""
+    empty = 0
+    for n, system in _random_systems(p, seed=p):
+        want = [a for a in itertools.product(range(p), repeat=n) if all(
+            (sum(c * x for c, x in zip(row, a)) - row[n]) % p == 0 for row in system)]
+        assert sorted(oracle._solutions([row[:] for row in system], n, p)) == want, (n, system)
+        assert oracle._solution_count(system, n, p) == len(want), (n, system)
+        empty += not want
+    assert empty
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solutions_match_a_brute_force_scan(p):
+    _check_solutions_against_scan(p)
+
+
+def test_solution_check_catches_a_pivot_without_its_free_terms(monkeypatch):
+    # each pivot unknown set to its row's b, as if no free unknown were read
+    monkeypatch.setattr(oracle, "sum", lambda terms: 0, raising=False)
+    with pytest.raises(AssertionError):
+        _check_solutions_against_scan(3)
+
+
 def _check_refuting_counts(p, q, ch, s):
     """Every candidate of order propagation at s and each of its zero pairs,
     read off the full-space walk to level s-1; each count of solutions
@@ -277,7 +315,7 @@ def _check_refuting_counts(p, q, ch, s):
     assert sorted((rows, i) for rows, i, _ in got) == sorted(want), (p, q, ch, s)
     for rows, i, count in got:
         above = oracle._lift(surf, field, 2 * s - 1, [rows])
-        system = oracle._upper_system(surf, rows, s, ch)
+        system = oracle._upper_system(surf, rows, 2 * s - 1, 2 * s - 1, ch)
         for fixed in [(), (i - 1,), (i,), (i - 1, i)]:
             zeros = sum(not any(jet[l][s] for l in fixed) for jet in above)
             assert oracle._solution_count(system, n, ch, fixed) == zeros, (rows, i, fixed)
@@ -307,26 +345,26 @@ def test_refuting_count_check_catches_a_prefilter_that_skips_the_last_pair(monke
 
 
 def test_fiber_walk_checks_one_child_per_member(monkeypatch):
-    # the bench's e = 5 cell: one residual per member below level 2 and no
-    # is_member call, where child by child made 59,292 checks
+    # the bench's e = 5 cell: one system solved per member below level 2
+    # and no is_member call, where child by child made 59,292 checks
     surf = ToricSurface.from_pair(5, 12)
     below = len(enumerate_fiber(surf, OracleConfig(3, 1)))
-    residuals, checks = [], []
-    real_residual, real_member = oracle._top_coefficients, oracle.is_member
+    solves, checks = [], []
+    real_system, real_member = oracle._upper_system, oracle.is_member
 
-    def residual(coords, m, surface):
-        residuals.append(m)
-        return real_residual(coords, m, surface)
+    def system(surface, rows, u, m, p):
+        solves.append(m)
+        return real_system(surface, rows, u, m, p)
 
     def member(jet, surface):
         checks.append(jet.m)
         return real_member(jet, surface)
 
-    monkeypatch.setattr(oracle, "_top_coefficients", residual)
+    monkeypatch.setattr(oracle, "_upper_system", system)
     monkeypatch.setattr(oracle, "is_member", member)
     assert len(enumerate_fiber(surf, OracleConfig(3, 2))) == 5103
-    assert residuals == [1] + [2] * below
-    assert len(residuals) == 244
+    assert solves == [1] + [2] * below
+    assert len(solves) == 244
     assert checks == []
 
 
@@ -335,17 +373,17 @@ def _check_profiles_against_listing(surf, cfg):
     assert oracle.fiber_profiles(surf, cfg) == listed, (surf.p, surf.q, cfg)
 
 
-# m >= 3, where the walk stops at level m-2 and the layer m-1 is solved by
-# D_1: e = 4 and 5 up to m = 5, and F_3 and F_5, where a nonzero pivot need
-# not be its own inverse
-TWO_LAYER_CELLS = [(2, 3, 2, 5), (3, 5, 2, 4), (5, 7, 2, 3), (5, 7, 2, 4), (3, 5, 3, 3),
-                   (2, 3, 5, 3)]
+# m >= 3, where the layers above floor(m/2) up to m-1 are solved, D_1 and
+# higher terms included: e = 4 and 5 up to m = 5, and F_3 and F_5, where a
+# nonzero pivot need not be its own inverse
+SOLVED_LAYER_CELLS = [(2, 3, 2, 5), (3, 5, 2, 4), (5, 7, 2, 3), (5, 7, 2, 4), (3, 5, 3, 3),
+                      (2, 3, 5, 3)]
 
 
 @pytest.mark.parametrize("p,q,ch,m", [
     *ODOMETER_CELLS,
     *((p, q, ch, m) for p, q, ch, mtop in SHORTCUT_CELLS for m in range(mtop + 1)),
-    *TWO_LAYER_CELLS,
+    *SOLVED_LAYER_CELLS,
 ])
 def test_profile_counts_match_the_listing(p, q, ch, m):
     # the F_5 cell needs 5^16 > 2^26 of guard, though it lists 765,625 points
@@ -353,10 +391,24 @@ def test_profile_counts_match_the_listing(p, q, ch, m):
     _check_profiles_against_listing(ToricSurface.from_pair(p, q), cfg)
 
 
+def _plant_after_listing(monkeypatch, plant):
+    """Run plant once enumerate_fiber has listed the fiber: the listing
+    shares _taylor and the system with the counts, so a fault planted
+    before it would leave both sides equally wrong."""
+    real = oracle.enumerate_fiber
+
+    def listing_then_plant(*args, **kwargs):
+        points = real(*args, **kwargs)
+        plant()
+        return points
+
+    monkeypatch.setattr(oracle, "enumerate_fiber", listing_then_plant)
+
+
 def test_profile_count_check_catches_a_void_second_layer_condition(monkeypatch):
     # D_1 = 0: every node whose t^(m-1) residual vanishes gets all p^e
     # layers m-1 or none, as if the t^m coefficient were r_m alone
-    _plant_void_derivative_term(monkeypatch, 1)
+    _plant_after_listing(monkeypatch, lambda: _plant_void_derivative_term(monkeypatch, 1))
     with pytest.raises(AssertionError):
         _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 3))
 
@@ -364,14 +416,8 @@ def test_profile_count_check_catches_a_void_second_layer_condition(monkeypatch):
 def test_profile_count_check_catches_a_dropped_residual_filter(monkeypatch):
     # once the listing is taken, every member below the top layer is counted
     # as having all p^e children
-    real = oracle.enumerate_fiber
-
-    def listing_then_plant(*args, **kwargs):
-        points = real(*args, **kwargs)
-        monkeypatch.setattr(oracle, "_top_coefficients", lambda coords, m, surface: {})
-        return points
-
-    monkeypatch.setattr(oracle, "enumerate_fiber", listing_then_plant)
+    _plant_after_listing(monkeypatch, lambda: monkeypatch.setattr(
+        oracle, "_taylor", lambda coords, m, n, surface: {}))
     with pytest.raises(AssertionError):
         _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 2))
 
@@ -382,7 +428,7 @@ def test_profile_counts_at_level_zero_are_the_origin():
 
 
 def test_profile_counts_charge_the_full_space():
-    # the walk stops at level m-1, but the guard is charged for level m
+    # the walks stop below level m, but the guard is charged for level m
     surf = ToricSurface.from_pair(2, 3)
     with pytest.raises(GuardExceededError) as exc:
         oracle.fiber_profiles(surf, OracleConfig(3, 2, guard=3 ** 12 - 1))
