@@ -6,9 +6,11 @@ products are truncated convolutions computed on the sparse support, which
 makes monomial arcs (single-term coordinates) cheap to test for membership.
 Membership walks the binomials of equations.minus_walk: for a fixed i the
 minus monomials are one running product, grown by one factor per equation,
-so a check costs O(e^2) sparse products rather than O(e^3).  The same walk,
-through _taylor, gives the coefficients and derivative series of the one
-linear system by which the oracle lifts member jets.
+so a check costs O(e^2) sparse products rather than O(e^3), and it stops at
+the first binomial that does not vanish.  That loop (_vanishes) also decides
+the oracle's fiber nodes.  The same walk, through _taylor, gives the
+coefficients and derivative series of the one linear system by which the
+oracle lifts member jets.
 """
 
 from __future__ import annotations
@@ -236,15 +238,16 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
     times one closing factor, so each binomial costs a bounded number of
     sparse products and the walk is O(e^2), not O(e^3); a running product
     that has truncated to zero stays zero for that i.  This is the one loop
-    over the binomials: is_member and _taylor both read it.
+    over the binomials: _vanishes and _taylor both read it.
 
-    With n < 0 a binomial whose sides have equal term lists vanishes without
-    any reduction and is skipped, and grad is empty.  With 0 <= n <= m every
-    binomial is yielded, and grad maps each 0-based coordinate l to the
-    sparse terms through t^n of the binomial's derivative by x_(l+1), a
-    coordinate whose derivative truncates to zero being left out.  The
-    running product carries its derivatives along; no variable of it recurs
-    in a later factor, the closing one included.
+    With n < 0, the membership test's mode, a binomial whose sides have
+    equal term lists vanishes without any reduction and is skipped, and grad
+    is empty.  With 0 <= n <= m every binomial is yielded, and grad maps
+    each 0-based coordinate l to the sparse terms through t^n of the
+    binomial's derivative by x_(l+1), a coordinate whose derivative
+    truncates to zero being left out.  The running product carries its
+    derivatives along; no variable of it recurs in a later factor, the
+    closing one included.
     """
     derive = n >= 0
     running = _ONE
@@ -272,12 +275,15 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
         yield (i, j), plus, minus, grad
 
 
-def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
-    """True iff every defining binomial vanishes along the jet mod t^(m+1)."""
-    if jet.e != surface.e:
-        raise InputRangeError(f"surface has {surface.e} coordinates, jet has {jet.e}")
-    is_zero = jet.field.is_zero
-    for _, plus, minus, _ in _binomial_series(_sparse_rows(jet.coords), jet.m, surface):
+def _vanishes(rows, m: int, surface: ToricSurface, is_zero) -> bool:
+    """True iff every binomial vanishes along the sparse rows mod t^(m+1).
+
+    Stops at the first binomial with a coefficient that is_zero rejects.
+    The one membership loop: is_member reads it, and so does the oracle's
+    residual test at each node of the fiber, where most rejected nodes fail
+    on the first binomial the walk yields.
+    """
+    for _, plus, minus, _ in _binomial_series(rows, m, surface):
         diff = dict(plus)
         for d, c in minus:
             diff[d] = diff.get(d, 0) - c
@@ -287,18 +293,24 @@ def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
     return True
 
 
+def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
+    """True iff every defining binomial vanishes along the jet mod t^(m+1)."""
+    if jet.e != surface.e:
+        raise InputRangeError(f"surface has {surface.e} coordinates, jet has {jet.e}")
+    return _vanishes(_sparse_rows(jet.coords), jet.m, surface, jet.field.is_zero)
+
+
 def _taylor(coords, m: int, n: int, surface: ToricSurface) -> dict:
     """(i, j) -> (value, grad): each binomial's series along coords and its
     derivative series.
 
     value[d] is the t^d coefficient of the binomial along coords for d <= m,
     and grad[d][l] the t^d coefficient of its derivative by x_(l+1) along
-    coords for d <= n.  Rows may stop below t^m; missing coefficients are
-    zero, and values are unreduced, as from evaluate.  With n >= 0 every
-    binomial is a key.  With n < 0 grad is empty and a binomial left out
-    has the zero series.  These are the terms of the Taylor expansion: for
-    y of order o >= 1, f(x + y) = f(x) + sum_l df/dx_l(x) y_l modulo
-    t^(2o), every monomial of a binomial having degree >= 2.
+    coords for d <= n, with 0 <= n <= m.  Every binomial is a key.  Rows
+    may stop below t^m; missing coefficients are zero, and values are
+    unreduced, as from evaluate.  These are the terms of the Taylor
+    expansion: for y of order o >= 1, f(x + y) = f(x) + sum_l df/dx_l(x) y_l
+    modulo t^(2o), every monomial of a binomial having degree >= 2.
     """
     e = len(coords)
     out = {}

@@ -22,9 +22,12 @@ check_order_propagation walks the full space to level s-1 and counts, by
 ranks, the members at level 2s-1 above each candidate that would refute
 the lemma; fiber_profiles walks the origin to level m // 2, lists the
 layers above it through m-1, and counts the top layer by contact profile.
-enumerate_fiber lists every point.  Point counts over F_p are heuristic
-evidence for dimensions and are reported as experimental; the boolean lemma
-checks are hard.
+Each decision at a node is made in one pass: the fiber's residual test is
+the membership loop, which stops at the first binomial that does not
+vanish, and a candidate's four refuting counts come from one elimination
+of its system.  enumerate_fiber lists every point.  Point counts over F_p
+are heuristic evidence for dimensions and are reported as experimental;
+the boolean lemma checks are hard.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
 from .errors import GuardExceededError, InputRangeError
-from .jets import ABOVE_M, TruncatedJet, _taylor, is_member, prime_field
+from .jets import ABOVE_M, TruncatedJet, _sparse_rows, _taylor, _vanishes, is_member, prime_field
 from .lattice import ToricSurface
 
 DEFAULT_GUARD = 1 << 26
@@ -168,12 +171,38 @@ def _upper_system(surface: ToricSurface, rows, u: int, m: int, p: int) -> list:
     return system
 
 
-def _solution_count(system, n: int, p: int, fixed=()) -> int:
-    """Number of solutions in F_p^n of the rows [A | b] with the unknowns in
-    fixed set to zero: p^(n - |fixed| - rank), or 0 when b is a pivot."""
-    rows = [[0 if col in fixed else x for col, x in enumerate(row)] for row in system]
-    pivots = _row_reduce(rows, n + 1, p)
-    return 0 if n in pivots else p ** (n - len(fixed) - len(pivots))
+def _solution_count(system, n: int, p: int) -> int:
+    """Number of solutions in F_p^n of the rows [A | b]: p^(n - rank), or 0
+    when b is a pivot.  Reduces system in place.  The refuting counts call
+    it on at most two rows over the free unknowns of a reduced system (see
+    _zero_counts), so it never repeats an elimination of the full system."""
+    pivots = _row_reduce(system, n + 1, p)
+    return 0 if n in pivots else p ** (n - len(pivots))
+
+
+def _zero_counts(system, n: int, p: int):
+    """Z with Z(cols) the number of solutions in F_p^n of the rows [A | b]
+    that have a_c = 0 for every c in cols; reduces system in place, once.
+
+    After Gauss-Jordan every unknown is an affine function of the free
+    unknowns: a pivot unknown is its row's b less the row's free-column
+    terms, and a free unknown is itself.  So a_c = 0 is one affine row over
+    the free unknowns, and Z(cols) is the solution count of those rows, a
+    rank over |cols| rows; an inconsistent system makes every Z zero.
+    """
+    pivots = _row_reduce(system, n + 1, p)
+    if n in pivots:
+        return lambda cols: 0
+    free = [col for col in range(n) if col not in pivots]
+    pivot_rows = dict(zip(pivots, system))
+
+    def zero_row(col):
+        row = pivot_rows.get(col)
+        if row is None:
+            return [int(f == col) for f in free] + [0]
+        return [row[f] for f in free] + [row[n]]
+
+    return lambda cols: _solution_count([zero_row(col) for col in cols], len(free), p)
 
 
 def _solutions(system, n: int, p: int) -> list:
@@ -277,12 +306,14 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
     The layers h+1..m-1: above a member x at level h, the member jets at
     level m are the solutions of _upper_system in the layers h+1..m with
     its equations through t^m, as m <= 2h+1.  Over the origin D_0 = 0, so
-    the equation at t^(h+1) is r_(h+1)(x) = 0 alone, which rejects most
-    nodes before any derivative series is built, and the layer m enters no
-    equation: the system is solved in the layers h+1..m-1 only, and each
-    solution is a member at level m-1 with all p^e top layers as children.
-    At m <= 2 there are no such layers, and the residual test is the whole
-    system.
+    the equation at t^(h+1) is r_(h+1)(x) = 0 alone: x with a zero layer
+    h+1 must be a member at level h+1.  That is tested by the membership
+    loop, which stops at the first binomial that does not vanish and builds
+    no derivative series; most nodes fail it, each after a binomial or two.
+    The layer m enters no equation: the system is solved in the
+    layers h+1..m-1 only, and each solution is a member at level m-1 with
+    all p^e top layers as children.  At m <= 2 there are no such layers,
+    and the residual test is the whole system.
 
     The top layer is counted, not listed.  A child keeps the order of every
     nonzero row of its level m-1 member; a zero row takes order m under
@@ -296,10 +327,11 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
     if m == 0:
         return Counter({(ABOVE_M,) * e: 1})
     h = m // 2
+    field = prime_field(p)
     orders = _Orders()
     shapes = Counter()
-    for rows in _lift(surface, prime_field(p), h, [((0,),) * e]):
-        if any(value[h + 1] % p for value, _ in _taylor(rows, h + 1, -1, surface).values()):
+    for rows in _lift(surface, field, h, [((0,),) * e]):
+        if not _vanishes(_sparse_rows(rows), h + 1, surface, field.is_zero):
             continue
         upper = [()]
         if h + 1 < m:
@@ -331,10 +363,12 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
     above it with ord x_i = ord x_(i+1) = s.  Those are the solutions of
     _upper_system with both layer-s entries of the pair nonzero, so by
     inclusion-exclusion count = Z - Z(a_(s,i) = 0) - Z(a_(s,i+1) = 0) +
-    Z(both), Z counting solutions.  Every candidate has its pair zero at
-    layer 0, and at s = 1 a unit coordinate, so only the constant layers
-    with these properties are checked for membership and walked to level
-    s-1.  config is at level m = 2s-1.
+    Z(both), Z counting solutions.  The system is reduced once per
+    candidate (_zero_counts), and every Z of every pair is then a rank of at
+    most two affine rows over its free unknowns.  Every candidate has its
+    pair zero at layer 0, and at s = 1 a unit coordinate, so only the
+    constant layers with these properties are checked for membership and
+    walked to level s-1.  config is at level m = 2s-1.
     """
     e, p = surface.e, config.characteristic
 
@@ -353,15 +387,9 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
         pairs = _zero_pairs(zero)
         if all(zero) or not pairs:
             continue
-        system = _upper_system(surface, rows, 2 * s - 1, 2 * s - 1, p)
-        total = _solution_count(system, n, p)
+        zeros = _zero_counts(_upper_system(surface, rows, 2 * s - 1, 2 * s - 1, p), n, p)
         for i in pairs:
-            yield rows, i, (
-                total
-                - _solution_count(system, n, p, (i - 1,))
-                - _solution_count(system, n, p, (i,))
-                + _solution_count(system, n, p, (i - 1, i))
-            )
+            yield rows, i, zeros(()) - zeros((i - 1,)) - zeros((i,)) + zeros((i - 1, i))
 
 
 def check_order_propagation(surface: ToricSurface, config: OracleConfig, s: int) -> bool:

@@ -433,9 +433,13 @@ def test_order_propagation_s1_catches_a_void_tangent_condition(capsys, monkeypat
 def test_order_propagation_catches_a_dropped_both_zero_term(capsys, monkeypatch):
     # Z - Z(a_(s,i) = 0) - Z(a_(s,i+1) = 0) without + Z(both): -Z(both), not
     # zero, wherever the pair can vanish at layer s
-    real = oracle._solution_count
-    monkeypatch.setattr(oracle, "_solution_count", lambda system, n, p, fixed=(): (
-        0 if len(fixed) == 2 else real(system, n, p, fixed)))
+    real = oracle._zero_counts
+
+    def planted(system, n, p):
+        zeros = real(system, n, p)
+        return lambda cols: 0 if len(cols) == 2 else zeros(cols)
+
+    monkeypatch.setattr(oracle, "_zero_counts", planted)
     code, status = _propagation_status(capsys, 5, 7, 3)
     assert code == 1
     assert status == {"order_propagation_s1": "fail", "order_propagation_s2": "fail"}

@@ -325,6 +325,45 @@ def test_is_member_matches_evaluate_on_random_dense_jets():
     assert min(counts.values()) >= 100, counts
 
 
+def _random_coefficient(rng, field):
+    if field.characteristic:
+        return rng.randrange(2 * field.characteristic)  # unreduced residues too
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def test_is_member_matches_evaluate_on_seeded_random_jets(family12):
+    # the membership loop also decides the oracle's fiber nodes, so it is
+    # checked over F_2, F_3, F_5 and Q at e = 4..12 and m <= 4: monomial arcs
+    # (members), the same arcs with one random term added, and rows that are
+    # zero below a random order and random above it
+    rng = random.Random(20261019)
+    fields = (prime_field(2), prime_field(3), prime_field(5), RATIONALS)
+    seen = {(field, want): 0 for field in fields for want in (True, False)}
+    for _ in range(1200):
+        surf = rng.choice(family12)
+        field = rng.choice(fields)
+        m = rng.randint(0, 4)
+        kind = rng.randrange(3)
+        if kind < 2:
+            y = rng.randint(0, 2)
+            x = -(-surf.p * y // surf.q) + rng.randint(0, 2)  # (x, y) in the cone
+            rows = [list(row) for row in monomial_arc(surf, (x, y), m, field).coords]
+            if kind == 1:
+                rows[rng.randrange(surf.e)][rng.randint(0, m)] += _random_coefficient(rng, field)
+        else:
+            rows = []
+            for _ in range(surf.e):
+                low = rng.randint(0, m + 1)
+                rows.append([_random_coefficient(rng, field) if b >= low and rng.random() < 0.5
+                             else 0 for b in range(m + 1)])
+        jet = TruncatedJet(field, m, rows)
+        want = _member_by_evaluate(jet, surf)
+        assert is_member(jet, surf) == want, (surf.p, surf.q, field, rows)
+        seen[field, want] += 1
+    assert {surf.e for surf in family12} >= set(range(4, 13))
+    assert min(seen.values()) >= 20, seen
+
+
 @pytest.mark.parametrize("at", [(1, 4), (1, 5), (2, 6)])
 def test_is_member_rejects_a_wrong_grow_exponent(monkeypatch, family12, at):
     # plant one grow factor off by one: some witness arc must fail the check

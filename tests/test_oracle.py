@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from toricjets import oracle
+from toricjets import jets, oracle
 from toricjets import (
     ABOVE_M,
     GuardExceededError,
@@ -258,12 +258,12 @@ def test_per_child_check_catches_a_pivot_used_as_its_own_inverse(monkeypatch):
 
 
 def _random_systems(p, seed):
-    """Seeded (n, rows [A | b]) over F_p for n = 0..4 unknowns and up to
+    """Seeded (n, rows [A | b]) over F_p for n = 0..5 unknowns and up to
     three random rows; each system with two rows or more comes again with a
     combination of its first two rows added, rank-deficient, and with that
     combination's b shifted by one, inconsistent."""
     rng = random.Random(seed)
-    for n in range(5):
+    for n in range(6):
         for _ in range(12):
             rows = [[rng.randrange(p) for _ in range(n + 1)] for _ in range(rng.randrange(4))]
             yield n, rows
@@ -274,15 +274,19 @@ def _random_systems(p, seed):
                 yield n, rows + [combo[:n] + [(combo[n] + 1) % p]]
 
 
+def _scan(system, n, p):
+    """Every vector of F_p^n that satisfies every row [A | b], in order."""
+    return [a for a in itertools.product(range(p), repeat=n) if all(
+        (sum(c * x for c, x in zip(row, a)) - row[n]) % p == 0 for row in system)]
+
+
 def _check_solutions_against_scan(p):
-    """Each solution listing, and each solution count, against every vector
-    of F_p^n tested in every equation."""
+    """Each solution listing, and each solution count, against the scan."""
     empty = 0
     for n, system in _random_systems(p, seed=p):
-        want = [a for a in itertools.product(range(p), repeat=n) if all(
-            (sum(c * x for c, x in zip(row, a)) - row[n]) % p == 0 for row in system)]
+        want = _scan(system, n, p)
         assert sorted(oracle._solutions([row[:] for row in system], n, p)) == want, (n, system)
-        assert oracle._solution_count(system, n, p) == len(want), (n, system)
+        assert oracle._solution_count([row[:] for row in system], n, p) == len(want), (n, system)
         empty += not want
     assert empty
 
@@ -297,6 +301,48 @@ def test_solution_check_catches_a_pivot_without_its_free_terms(monkeypatch):
     monkeypatch.setattr(oracle, "sum", lambda terms: 0, raising=False)
     with pytest.raises(AssertionError):
         _check_solutions_against_scan(3)
+
+
+def _check_zero_counts_against_scan(p):
+    """Z(cols) from one reduction, for every set cols of at most two
+    unknowns, against the scan's solutions with a_c = 0 for c in cols.
+    Sets of a pivot unknown, of a free one and of a pair all occur, as do
+    inconsistent systems."""
+    kinds, empty = set(), 0
+    for n, system in _random_systems(p, seed=p):
+        solutions = _scan(system, n, p)
+        pivots = oracle._row_reduce([row[:] for row in system], n + 1, p)
+        zeros = oracle._zero_counts([row[:] for row in system], n, p)
+        for size in range(3):
+            for cols in itertools.combinations(range(n), size):
+                want = sum(not any(a[c] for c in cols) for a in solutions)
+                assert zeros(cols) == want, (n, system, cols)
+                kinds.add(tuple(c in pivots for c in cols))
+        empty += not solutions
+    assert empty
+    assert {(), (True,), (False,), (True, True), (True, False), (False, False)} <= kinds
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_zero_counts_match_a_brute_force_scan(p):
+    _check_zero_counts_against_scan(p)
+
+
+def test_zero_count_check_catches_a_pivot_without_its_free_terms(monkeypatch):
+    # after the elimination each pivot row loses its free-column terms, so
+    # a_c = 0 for a pivot unknown c reads as b = 0 alone
+    real = oracle._row_reduce
+
+    def planted(rows, ncols, p):
+        pivots = real(rows, ncols, p)
+        for row in rows[:len(pivots)]:
+            for col in set(range(ncols - 1)) - set(pivots):
+                row[col] = 0
+        return pivots
+
+    monkeypatch.setattr(oracle, "_row_reduce", planted)
+    with pytest.raises(AssertionError):
+        _check_zero_counts_against_scan(3)
 
 
 def _check_refuting_counts(p, q, ch, s):
@@ -316,9 +362,10 @@ def _check_refuting_counts(p, q, ch, s):
     for rows, i, count in got:
         above = oracle._lift(surf, field, 2 * s - 1, [rows])
         system = oracle._upper_system(surf, rows, 2 * s - 1, 2 * s - 1, ch)
-        for fixed in [(), (i - 1,), (i,), (i - 1, i)]:
-            zeros = sum(not any(jet[l][s] for l in fixed) for jet in above)
-            assert oracle._solution_count(system, n, ch, fixed) == zeros, (rows, i, fixed)
+        zeros = oracle._zero_counts(system, n, ch)
+        for cols in [(), (i - 1,), (i,), (i - 1, i)]:
+            listed = sum(not any(jet[l][s] for l in cols) for jet in above)
+            assert zeros(cols) == listed, (rows, i, cols)
         both = sum(bool(jet[i - 1][s] and jet[i][s]) for jet in above)
         assert count == both, (rows, i)
 
@@ -414,12 +461,35 @@ def test_profile_count_check_catches_a_void_second_layer_condition(monkeypatch):
 
 
 def test_profile_count_check_catches_a_dropped_residual_filter(monkeypatch):
-    # once the listing is taken, every member below the top layer is counted
-    # as having all p^e children
+    # once the listing is taken, the residual test keeps every node, so
+    # every member below the top layer is counted as having all p^e children
     _plant_after_listing(monkeypatch, lambda: monkeypatch.setattr(
-        oracle, "_taylor", lambda coords, m, n, surface: {}))
+        oracle, "_vanishes", lambda rows, m, surface, is_zero: True))
     with pytest.raises(AssertionError):
         _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 2))
+
+
+def _keep_at_first_zero(rows, m, surface, is_zero):
+    """The residual test with a planted early exit: a node is kept as soon
+    as one binomial vanishes, so only the first binomial walked decides."""
+    for _, plus, minus, _ in jets._binomial_series(rows, m, surface):
+        diff = dict(plus)
+        for d, c in minus:
+            diff[d] = diff.get(d, 0) - c
+        for c in diff.values():
+            if not is_zero(c):
+                return False
+        return True
+    return True
+
+
+def test_profile_count_check_catches_an_early_exit_on_a_vanishing_binomial(monkeypatch):
+    # the first binomial walked decides; it shows at F_3 and m = 2, where a
+    # binomial whose sides differ can vanish (2 * 2 = 1), and on no F_2 cell
+    _plant_after_listing(monkeypatch, lambda: monkeypatch.setattr(
+        oracle, "_vanishes", _keep_at_first_zero))
+    with pytest.raises(AssertionError):
+        _check_profiles_against_listing(ToricSurface.from_pair(5, 7), OracleConfig(3, 2))
 
 
 def test_profile_counts_at_level_zero_are_the_origin():
