@@ -14,20 +14,22 @@ along x_low and D_d the t^d term of its derivative series, since any
 product of two upper layers lands past t^m (Denef-Loeser, Invent. Math.
 1999; Ein-Mustata, 2009).  The system is block lower-triangular with the
 Jacobian J(x_0) = D_0 on its diagonal, and over the origin J = 0.  Only the
-constant layer is nonlinear, and it is checked choice by choice.  Above it
-a walk doubles its level at each step, 0, 1, 3, 7, ..., and each member it
-reaches costs one pass over the binomials and one elimination mod p.
+constant layer is nonlinear, and its members are the p^2 points of S(F_p).
+Above it a walk doubles its level at each step, 0, 1, 3, 7, ..., and each
+member it reaches costs one pass over the binomials and one elimination mod
+p.  The torus (F_p^*)^2 acts on every layer and keeps all of this, so the
+checks walk one slice: the nodes whose x_1 and x_2 lead with 1 if nonzero.
 
-check_order_propagation walks the full space to level s-1 and counts, by
-ranks, the members at level 2s-1 above each candidate that would refute
-the lemma; fiber_profiles walks the origin to level m // 2, lists the
-layers above it through m-1, and counts the top layer by contact profile.
-Each decision at a node is made in one pass: the fiber's residual test is
-the membership loop, which stops at the first binomial that does not
-vanish, and a candidate's four refuting counts come from one elimination
-of its system.  enumerate_fiber lists every point.  Point counts over F_p
-are heuristic evidence for dimensions and are reported as experimental;
-the boolean lemma checks are hard.
+check_order_propagation walks the slice of the full space to level s-1
+and counts, by ranks, the members at level 2s-1 above each candidate that
+would refute the lemma; fiber_profiles walks the slice over the origin to
+level m // 2, lists the layers above it through m-1, and counts the top
+layer by contact profile.  Each decision at a node is made in one pass: the
+fiber's residual test is the membership loop, which stops at the first
+binomial that does not vanish, and a candidate's four refuting counts come
+from one elimination of its system.  enumerate_fiber lists every point of
+the full walk.  Point counts over F_p are heuristic evidence for dimensions
+and are reported as experimental; the boolean lemma checks are hard.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
-from .errors import GuardExceededError, InputRangeError
+from .errors import GuardExceededError, InputRangeError, NonMemberError
 from .jets import ABOVE_M, TruncatedJet, _sparse_rows, _taylor, _vanishes, is_member, prime_field
 from .lattice import ToricSurface
 
@@ -231,39 +233,71 @@ def _solutions(system, n: int, p: int) -> list:
     return out
 
 
-def _constant_members(surface, field, layers) -> list:
-    """Rows of the member jets at level 0 among the given constant layers,
-    each checked with is_member."""
-    starts = (tuple((c,) for c in x0) for x0 in layers)
-    return [rows for rows in starts if is_member(TruncatedJet(field, 0, rows), surface)]
+def _constant_members(surface, field) -> list:
+    """Rows of the member jets at level 0: the p^2 points of S(F_p), each
+    checked with is_member, so a wrong one raises.
+
+    They are the torus orbits (Fulton, Introduction to Toric Varieties,
+    1993, 3.1): x_j = l_1^(a_j) l_2^(b_j) for u_j = (a_j, b_j) and l in
+    (F_p^*)^2, with exponents mod p-1, so b_e = -p needs no inverse; x_1
+    alone or x_e alone a unit, the orbits of the rays u_1 and u_e; the origin.
+    """
+    p, e = field.characteristic, surface.e
+    units = range(1, p)
+    points = [tuple(l1 ** (a % (p - 1)) * l2 ** (b % (p - 1)) % p for a, b in surface.basis)
+              for l1 in units for l2 in units]
+    points += [(c,) + (0,) * (e - 1) for c in units] + [(0,) * (e - 1) + (c,) for c in units]
+    points += [(0,) * e]
+    members = [tuple((c,) for c in x0) for x0 in points]
+    for rows in members:
+        if not is_member(TruncatedJet(field, 0, rows), surface):
+            raise NonMemberError(f"the constant layer {rows} is not on the surface")
+    return members
 
 
-def _lift(surface, field, m, coords):
+def _slice_weight(rows, p: int) -> int:
+    """The number of walk nodes that rows stands for: 0 unless x_1 and x_2
+    each are zero or lead with 1, and then (p-1)^(number of them nonzero).
+    l in (F_p^*)^2 acts by x_j -> l^(u_j) x_j and keeps membership, orders
+    and the rank of every system of the walk (Ishii, J. Algebra 2004); as
+    u_1 = (0, 1) and u_2 = (1, 0), l_2 scales x_1 and l_1 scales x_2 alone
+    to a leading 1.  Truncation keeps a node in the slice."""
+    weight = 1
+    for row in rows[:2]:
+        lead = next(filter(None, row), 0)
+        if lead > 1:
+            return 0
+        weight *= (p - 1) ** lead  # lead is 0 or 1
+    return weight
+
+
+def _lift(surface, field, m, coords, sliced=False):
     """Coordinate rows of the member jets at level m above the given members.
 
     coords holds the rows of members of one level h < m, or empty rows
     (h = -1).  A truncation of a member is a member, so lifting the members
-    misses none.  The constant layer is nonlinear: each of its p^e choices
-    is checked with is_member.  Above it the walk doubles: the member jets
-    at level u = min(2h+1, m) above a member at level h are the solutions of
-    _upper_system in the layers h+1..u, since any product of two of those
-    layers lands past t^u.  Each member costs one pass over the binomials,
-    with its derivative series through t^(u-h-1), and one elimination, and
-    the levels walked are 0, 1, 3, 7, ... up to m.  At h = 0 the system is
-    J(x_0) a = 0, the tangent space at the constant layer; over the origin
-    J = 0, because every binomial monomial has degree >= 2, so the system
-    has rank 0 and its solutions are all p^e layers.
+    misses none.  The constant layer is nonlinear, and its members are the
+    points of S(F_p) (_constant_members).  Above it the walk doubles: the
+    member jets at level u = min(2h+1, m) above a member at level h are the
+    solutions of _upper_system in the layers h+1..u, since any product of
+    two of those layers lands past t^u.  Each member costs one pass over the
+    binomials, with its derivative series through t^(u-h-1), and one
+    elimination, and the levels walked are 0, 1, 3, 7, ... up to m.  At
+    h = 0 the system is J(x_0) a = 0, the tangent space at the constant
+    layer; over the origin J = 0, because every binomial monomial has
+    degree >= 2, so the system has rank 0 and its solutions are all p^e
+    layers.  sliced keeps only the children in the torus slice
+    (_slice_weight), so no node outside it is solved.
     """
     p, e = field.characteristic, surface.e
-    if not coords[0][0]:  # the constant layer, child by child
-        coords = _constant_members(surface, field, itertools.product(range(p), repeat=e))
     while coords and (h := len(coords[0][0]) - 1) < m:
         u = min(2 * h + 1, m)
-        coords = [
+        children = _constant_members(surface, field) if h < 0 else (
             tuple(row + a[l::e] for l, row in enumerate(rows))
             for rows in coords
             for a in _solutions(_upper_system(surface, rows, u, u, p), e * (u - h), p)
-        ]
+        )
+        coords = [rows for rows in children if not sliced or _slice_weight(rows, p)]
     return coords
 
 
@@ -301,7 +335,9 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
 
     Equals Counter(fp.profile for fp in enumerate_fiber(...)).  The guard is
     charged for the full p^(e(m+1)) space; the walk over the origin then
-    stops at level h = m // 2, and the layers above it are solved.
+    stops at level h = m // 2, and the layers above it are solved.  The walk
+    keeps the torus slice only, and each node it keeps counts as the
+    _slice_weight nodes of its orbit; the layers above h are not sliced.
 
     The layers h+1..m-1: above a member x at level h, the member jets at
     level m are the solutions of _upper_system in the layers h+1..m with
@@ -330,14 +366,15 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
     field = prime_field(p)
     orders = _Orders()
     shapes = Counter()
-    for rows in _lift(surface, field, h, [((0,),) * e]):
+    for rows in _lift(surface, field, h, [((0,),) * e], sliced=True):
         if not _vanishes(_sparse_rows(rows), h + 1, surface, field.is_zero):
             continue
         upper = [()]
         if h + 1 < m:
             upper = _solutions(_upper_system(surface, rows, m - 1, m, p), e * (m - 1 - h), p)
+        orbit = _slice_weight(rows, p)
         for a in upper:
-            shapes[tuple(orders[row + a[l::e]] for l, row in enumerate(rows))] += 1
+            shapes[tuple(orders[row + a[l::e]] for l, row in enumerate(rows))] += orbit
     profiles = Counter()
     for shape, n in shapes.items():
         weight = n * p ** sum(o is not ABOVE_M for o in shape)
@@ -366,23 +403,23 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
     Z(both), Z counting solutions.  The system is reduced once per
     candidate (_zero_counts), and every Z of every pair is then a rank of at
     most two affine rows over its free unknowns.  Every candidate has its
-    pair zero at layer 0, and at s = 1 a unit coordinate, so only the
-    constant layers with these properties are checked for membership and
-    walked to level s-1.  config is at level m = 2s-1.
+    pair zero at layer 0, and at s = 1 a unit coordinate, so only the points
+    of S(F_p) with these properties are walked to level s-1, and only the
+    torus slice: a count is the same on every node of an orbit, so the
+    candidates are one per orbit, unweighted.  config is at level m = 2s-1.
     """
     e, p = surface.e, config.characteristic
 
-    def may_start(x0):
-        zero = [not c for c in x0]
-        return _zero_pairs(zero) and (s > 1 or not all(zero))
+    def may_start(rows):
+        zero = [not row[0] for row in rows]
+        return _zero_pairs(zero) and (s > 1 or not all(zero)) and _slice_weight(rows, p)
 
     field = prime_field(p)
-    layers = filter(may_start, itertools.product(range(p), repeat=e))
-    start = _constant_members(surface, field, layers)
+    start = [rows for rows in _constant_members(surface, field) if may_start(rows)]
     if not start:
         return
     n = e * s
-    for rows in _lift(surface, field, s - 1, start):
+    for rows in _lift(surface, field, s - 1, start, sliced=True):
         zero = [not any(row) for row in rows]
         pairs = _zero_pairs(zero)
         if all(zero) or not pairs:
@@ -398,8 +435,9 @@ def check_order_propagation(surface: ToricSurface, config: OracleConfig, s: int)
     Covers the members of the full space, constant terms included: the
     order hypothesis can hold while some other coordinate is a unit, and
     exactly those jets must fail membership for the claim to stand.  The
-    guard is charged for the full p^(2es) space.  The walk stops at level
-    s-1, half way: every order up to s-1 is read there, and a member of
+    guard is charged for the full p^(2es) space.  The walk starts from the
+    p^2 points of S(F_p), keeps one node of each torus orbit, and stops at
+    level s-1, half way: every order up to s-1 is read there, and a member of
     level 2s-1 with ord x_i = ord x_(i+1) = s and a smaller order lies above
     a candidate of _refuting_counts.  The member jets above a candidate are
     the solutions of one linear system, so they are counted, not listed; a

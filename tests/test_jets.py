@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from toricjets import (
     ABOVE_M,
     RATIONALS,
     CoefficientField,
+    EmbeddingDimensionError,
     InputRangeError,
     NonMemberError,
     ToricSurface,
@@ -380,3 +382,76 @@ def test_is_member_rejects_a_wrong_grow_exponent(monkeypatch, family12, at):
             for arc in _witness_arcs(surf, 12)]
     assert arcs
     assert not all(is_member(arc, surf) for surf, arc in arcs)
+
+
+def _random_wide_surfaces(rng, count, emax):
+    """count seeded surfaces with 13 <= q <= 10^4 and e <= emax; evaluate
+    costs O(e^3) per member jet, which bounds e."""
+    out = []
+    while len(out) < count:
+        q = rng.randint(13, 10 ** 4)
+        p = rng.randint(2, q - 1)
+        if math.gcd(p, q) != 1:
+            continue
+        try:
+            surf = ToricSurface.from_pair(p, q)
+        except EmbeddingDimensionError:  # p = q-1, the hypersurface
+            continue
+        if surf.e <= emax:
+            out.append(surf)
+    return out
+
+
+def _check_is_member_on_wide_surfaces(seed):
+    """is_member against evaluate on seeded surfaces with q up to 10^4, over
+    F_2..F_7 at m = 2..4: the monomial arc of a random valid label (a
+    member), the same arc moved by a random torus element, which scales
+    x_j by l_1^(a_j) l_2^(b_j) for u_j = (a_j, b_j) (a member), that one with
+    a random term added, and rows that are zero below a random order."""
+    rng = random.Random(seed)
+    seen = {True: 0, False: 0}
+    surfaces = _random_wide_surfaces(rng, 50, 16)
+    for surf in surfaces:
+        for _ in range(6):
+            field = prime_field(rng.choice((2, 3, 5, 7)))
+            ch, m = field.characteristic, rng.randint(2, 4)
+            kind = rng.randrange(4)
+            if kind < 3:
+                v, _ = contact_vector(surf, *rng.choice(valid_labels(surf, m)))
+                rows = [list(row) for row in monomial_arc(surf, v, m, field).coords]
+                if kind:
+                    l1, l2 = rng.randrange(1, ch), rng.randrange(1, ch)
+                    for row, (a, b) in zip(rows, surf.basis):
+                        scale = l1 ** (a % (ch - 1)) * l2 ** (b % (ch - 1))
+                        row[:] = [c * scale % ch for c in row]
+                if kind == 2:
+                    rows[rng.randrange(surf.e)][rng.randint(0, m)] += rng.randrange(1, ch)
+            else:
+                rows = []
+                for _ in range(surf.e):
+                    low = rng.randint(0, m + 1)
+                    rows.append([rng.randrange(2 * ch) if b >= low and rng.random() < 0.5 else 0
+                                 for b in range(m + 1)])
+            jet = TruncatedJet(field, m, rows)
+            want = _member_by_evaluate(jet, surf)
+            assert is_member(jet, surf) == want, (surf.p, surf.q, ch, rows)
+            seen[want] += 1
+    assert max(surf.q for surf in surfaces) > 5000 and max(surf.e for surf in surfaces) >= 10
+    assert min(seen.values()) >= 60, seen
+
+
+def test_is_member_matches_evaluate_on_wide_surfaces():
+    _check_is_member_on_wide_surfaces(20261020)
+
+
+def test_wide_surface_check_catches_a_wrong_end_exponent(monkeypatch):
+    # x_i x_(i+2) = x_(i+1)^(c_(i+1) + 1) in the membership loop alone
+    walk = jets.minus_walk
+
+    def planted(surface):
+        for i, j, grow, (k, a) in walk(surface):
+            yield i, j, grow, (k, a + (j == i + 2))
+
+    monkeypatch.setattr(jets, "minus_walk", planted)
+    with pytest.raises(AssertionError):
+        _check_is_member_on_wide_surfaces(20261020)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ from toricjets import (
     ABOVE_M,
     GuardExceededError,
     InputRangeError,
+    NonMemberError,
     OracleConfig,
     ToricSurface,
     TruncatedJet,
@@ -122,6 +124,26 @@ def _may_start(x0, s):
     return any(zero[i - 1] and zero[i] for i in range(2, len(x0))) and (s > 1 or not all(zero))
 
 
+def _torus_images(surf, ch, rows):
+    """The walk nodes that the slice node rows stands for: its images under
+    (l_1, l_2) in (F_ch^*)^2 acting by x_j -> l_1^(a_j) l_2^(b_j) x_j, for
+    u_j = (a_j, b_j), with l_2 = 1 when x_1 is zero and l_1 = 1 when x_2 is
+    zero."""
+    units = range(1, ch)
+    return [
+        tuple(tuple(c * pow(l1, a, ch) * pow(l2, b, ch) % ch for c in row)
+              for row, (a, b) in zip(rows, surf.basis))
+        for l1 in (units if any(rows[1]) else [1])
+        for l2 in (units if any(rows[0]) else [1])
+    ]
+
+
+def _unslice(surf, ch, nodes):
+    """The sorted images of every slice node: the full walk, if the slice
+    holds one node of each orbit and no other."""
+    return sorted(image for rows in nodes for image in _torus_images(surf, ch, rows))
+
+
 def _check_against_odometer(monkeypatch, p, q, ch, m):
     surf = ToricSurface.from_pair(p, q)
     cfg = OracleConfig(ch, m)
@@ -133,8 +155,8 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
         walked = []
         real = oracle._lift
 
-        def spy(*args):
-            rows = real(*args)
+        def spy(*args, **kwargs):
+            rows = real(*args, **kwargs)
             walked.extend(rows)
             return rows
 
@@ -142,8 +164,9 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
             patch.setattr(oracle, "_lift", spy)
             verdict = check_order_propagation(surf, cfg, s)
         # the walk stops at level s-1, from the constant layers that may
-        # start a candidate; the layers s..2s-1 above it are solved
-        assert sorted(walked) == [
+        # start a candidate, one node of each torus orbit; the layers
+        # s..2s-1 above it are solved
+        assert _unslice(surf, ch, walked) == [
             rows for rows in _odometer_members(surf, ch, s - 1, over_origin=False)
             if _may_start([row[0] for row in rows], s)
         ]
@@ -257,6 +280,68 @@ def test_per_child_check_catches_a_pivot_used_as_its_own_inverse(monkeypatch):
         _check_shortcut_against_per_child(3, 5, 5, 1)
 
 
+def _constant_scan(surf, field):
+    """Reference: every constant layer of F_p^e, kept when it is a member."""
+    layers = (tuple((c,) for c in x0) for x0 in itertools.product(field.elements(), repeat=surf.e))
+    return [rows for rows in layers if is_member(TruncatedJet(field, 0, rows), surf)]
+
+
+# the surface and field of every odometer and shortcut cell, and F_7, where
+# l^(-p) and l^p differ on (5,7) and (7,9)
+CONSTANT_CELLS = sorted({
+    *((p, q, ch) for p, q, ch, _ in ODOMETER_CELLS + SHORTCUT_CELLS), (5, 7, 7), (7, 9, 7)})
+
+
+def _check_constant_members(cells, constant_members):
+    for p, q, ch in cells:
+        surf, field = ToricSurface.from_pair(p, q), prime_field(ch)
+        got = constant_members(surf, field)
+        assert len(got) == ch ** 2, (p, q, ch)
+        assert sorted(got) == _constant_scan(surf, field), (p, q, ch)
+
+
+@pytest.mark.parametrize("p,q,ch", CONSTANT_CELLS)
+def test_constant_members_are_the_points_of_the_surface(p, q, ch):
+    _check_constant_members([(p, q, ch)], oracle._constant_members)
+
+
+def test_constant_member_check_catches_a_dropped_ray_orbit():
+    # the orbit where x_e alone is a unit is missing
+    def planted(surf, field):
+        return [rows for rows in oracle._constant_members(surf, field)
+                if any(row[0] for row in rows[:-1]) or not rows[-1][0]]
+
+    with pytest.raises(AssertionError):
+        _check_constant_members(CONSTANT_CELLS, planted)
+
+
+def test_constant_member_check_catches_a_flipped_exponent():
+    # u_e = (q, p) in place of (q, -p): a wrong point of the open orbit, which
+    # is_member refuses; over F_3 l^p = l^(-p), so only F_5 and F_7 see it
+    def planted(surf, field):
+        (q, neg_p), = surf.basis[-1:]
+        flipped = dataclasses.replace(surf, basis=surf.basis[:-1] + ((q, -neg_p),))
+        return oracle._constant_members(flipped, field)
+
+    with pytest.raises(NonMemberError):
+        _check_constant_members(CONSTANT_CELLS, planted)
+
+
+def _check_slice_expands_to_the_walk(p, q, ch, mtop):
+    surf, field = ToricSurface.from_pair(p, q), prime_field(ch)
+    for k in range(mtop + 1):
+        for start in [((),) * surf.e, ((0,),) * surf.e]:
+            full = sorted(oracle._lift(surf, field, k, [start]))
+            sliced = oracle._lift(surf, field, k, [start], sliced=True)
+            assert _unslice(surf, ch, sliced) == full, (p, q, ch, k, start)
+
+
+@pytest.mark.parametrize("p,q,ch,mtop", [
+    cell for cell in ODOMETER_CELLS + SHORTCUT_CELLS if cell[2] >= 3])
+def test_sliced_walk_expands_to_the_full_walk(p, q, ch, mtop):
+    _check_slice_expands_to_the_walk(p, q, ch, mtop)
+
+
 def _random_systems(p, seed):
     """Seeded (n, rows [A | b]) over F_p for n = 0..5 unknowns and up to
     three random rows; each system with two rows or more comes again with a
@@ -358,7 +443,9 @@ def _check_refuting_counts(p, q, ch, s):
         if not all(zero):
             want += [(rows, i) for i in range(2, e) if zero[i - 1] and zero[i]]
     got = list(oracle._refuting_counts(surf, OracleConfig(ch, 2 * s - 1), s))
-    assert sorted((rows, i) for rows, i, _ in got) == sorted(want), (p, q, ch, s)
+    # one candidate of each torus orbit
+    images = [(image, i) for rows, i, _ in got for image in _torus_images(surf, ch, rows)]
+    assert sorted(images) == sorted(want), (p, q, ch, s)
     for rows, i, count in got:
         above = oracle._lift(surf, field, 2 * s - 1, [rows])
         system = oracle._upper_system(surf, rows, 2 * s - 1, 2 * s - 1, ch)
@@ -485,9 +572,27 @@ def _keep_at_first_zero(rows, m, surface, is_zero):
 
 def test_profile_count_check_catches_an_early_exit_on_a_vanishing_binomial(monkeypatch):
     # the first binomial walked decides; it shows at F_3 and m = 2, where a
-    # binomial whose sides differ can vanish (2 * 2 = 1), and on no F_2 cell
+    # binomial whose sides differ can vanish (2 * 2 = 1), and on no F_2 cell.
+    # The slice fixes the leading coefficients of x_1 and x_2 to 1, which
+    # hides it on (3,5), (5,7) and (7,9) over F_3 and F_5, but not on (5,12)
     _plant_after_listing(monkeypatch, lambda: monkeypatch.setattr(
         oracle, "_vanishes", _keep_at_first_zero))
+    with pytest.raises(AssertionError):
+        _check_profiles_against_listing(ToricSurface.from_pair(5, 12), OracleConfig(3, 2))
+
+
+def test_profile_count_check_catches_a_dropped_slice_weight(monkeypatch):
+    # each sliced node counted once, not once per node of its orbit
+    real = oracle._slice_weight
+    monkeypatch.setattr(oracle, "_slice_weight", lambda rows, p: min(real(rows, p), 1))
+    with pytest.raises(AssertionError):
+        _check_profiles_against_listing(ToricSurface.from_pair(5, 7), OracleConfig(3, 2))
+
+
+def test_profile_count_check_catches_a_slice_on_x3(monkeypatch):
+    # x_3 normalized in place of x_2, though no torus element scales it alone
+    real = oracle._slice_weight
+    monkeypatch.setattr(oracle, "_slice_weight", lambda rows, p: real(rows[:1] + rows[2:], p))
     with pytest.raises(AssertionError):
         _check_profiles_against_listing(ToricSurface.from_pair(5, 7), OracleConfig(3, 2))
 
