@@ -4,8 +4,8 @@ The surface in affine e-space is cut out by the binomials
 x_i x_j - x_{i+1}^{c_{i+1}-1} (prod_{k=i+2}^{j-2} x_k^{c_k-2}) x_{j-1}^{c_{j-1}-1}
 over all pairs 1 <= i < j-1 <= e-1.  For a fixed i the minus monomials are
 one running product, grown by one factor per j, times one closing factor;
-minus_walk yields the binomials in that form, and generators expands it into
-dense exponent vectors for output and for the grading check.
+minus_walk yields each i with its binomials in that form, and generators
+expands it into dense exponent vectors for output and for the grading check.
 """
 
 from __future__ import annotations
@@ -55,10 +55,11 @@ class BinomialEquation:
 
 
 def minus_walk(surface: ToricSurface):
-    """Yield (i, j, grow, last) for every defining binomial, in (i, j) order.
+    """Yield (i, steps) for i = 1..e-2, steps yielding (j, grow, last) for
+    every defining binomial (i, j), in j order.
 
     The minus monomial of (i, j) is R * x_k^a with last = (k, a), where R is
-    the product of every grow factor (k, a) yielded since i last changed:
+    the product of every grow factor (k, a) of the steps of i so far:
 
     - j = i + 2: grow is None (R = 1) and last = (i+1, c_{i+1}), the two end
       factors of the product landing on the same variable;
@@ -66,16 +67,21 @@ def minus_walk(surface: ToricSurface):
     - j >= i + 4: grow = (j-2, c_{j-2} - 2) and last = (j-1, c_{j-1} - 1).
 
     So the minus monomials for a fixed i are built by one running product,
-    one factor per step.  This is the only place the formula is written.
+    one factor per step, and a consumer may leave the steps of an i before
+    they end.  This is the only place the formula is written.
     """
     c = (0, 0) + surface.entries  # c[k] is c_k for k in 2..e-1
     e = surface.e
     for i in range(1, e - 1):
-        yield i, i + 2, None, (i + 1, c[i + 1])
-        if i + 3 <= e:
-            yield i, i + 3, (i + 1, c[i + 1] - 1), (i + 2, c[i + 2] - 1)
-        for j in range(i + 4, e + 1):
-            yield i, j, (j - 2, c[j - 2] - 2), (j - 1, c[j - 1] - 1)
+        yield i, _steps(c, e, i)
+
+
+def _steps(c, e: int, i: int):
+    yield i + 2, None, (i + 1, c[i + 1])
+    if i + 3 <= e:
+        yield i + 3, (i + 1, c[i + 1] - 1), (i + 2, c[i + 2] - 1)
+    for j in range(i + 4, e + 1):
+        yield j, (j - 2, c[j - 2] - 2), (j - 1, c[j - 1] - 1)
 
 
 @lru_cache(maxsize=16)
@@ -88,18 +94,17 @@ def generators(surface: ToricSurface) -> tuple[BinomialEquation, ...]:
     """
     e = surface.e
     eqs = []
-    running = [0] * e
-    for i, j, grow, (k, a) in minus_walk(surface):
-        if grow is None:
-            running = [0] * e
-        else:
-            running[grow[0] - 1] += grow[1]
-        plus = [0] * e
-        plus[i - 1] = 1
-        plus[j - 1] = 1
-        minus = list(running)
-        minus[k - 1] += a
-        eqs.append(BinomialEquation(i, j, tuple(plus), tuple(minus)))
+    for i, steps in minus_walk(surface):
+        running = [0] * e
+        for j, grow, (k, a) in steps:
+            if grow:
+                running[grow[0] - 1] += grow[1]
+            plus = [0] * e
+            plus[i - 1] = 1
+            plus[j - 1] = 1
+            minus = list(running)
+            minus[k - 1] += a
+            eqs.append(BinomialEquation(i, j, tuple(plus), tuple(minus)))
     return tuple(eqs)
 
 

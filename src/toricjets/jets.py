@@ -7,8 +7,11 @@ makes monomial arcs (single-term coordinates) cheap to test for membership.
 Membership walks the binomials of equations.minus_walk: for a fixed i the
 minus monomials are one running product, grown by one factor per equation,
 so a check costs O(e^2) sparse products rather than O(e^3), and it stops at
-the first binomial that does not vanish.  That loop (_vanishes) also decides
-the oracle's fiber nodes.  The same walk, through _taylor, gives the
+the first binomial that does not vanish.  Once the running product and the
+plus side of every binomial left for that i have truncated to zero, the rest
+of that i is skipped: on a monomial arc, where most products truncate, this
+leaves a few steps per i.  That loop (_vanishes) also decides the oracle's
+fiber nodes.  The same walk, through _taylor, gives the
 coefficients and derivative series of the one linear system by which the
 oracle lifts member jets.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .equations import BinomialEquation, minus_walk
 from .errors import InputRangeError, NonMemberError
@@ -242,7 +246,10 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
 
     With n < 0, the membership test's mode, a binomial whose sides have
     equal term lists vanishes without any reduction and is skipped, and grad
-    is empty.  With 0 <= n <= m every binomial is yielded, and grad maps
+    is empty.  So is the rest of an i once its running product is () and
+    o_i + min(o_j, ..., o_e) > m, o_l being the first degree of row l (m+1
+    for an empty row): every binomial (i, j') left then has plus == minus
+    == ().  With 0 <= n <= m every binomial is yielded, and grad maps
     each 0-based coordinate l to the sparse terms through t^n of the
     binomial's derivative by x_(l+1), a coordinate whose derivative
     truncates to zero being left out.  The running product carries its
@@ -250,29 +257,35 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
     closing one included.
     """
     derive = n >= 0
-    running = _ONE
-    d_running: dict = {}
-    for i, j, grow, (k, a) in minus_walk(surface):
-        if grow is None:
-            running, d_running = _ONE, {}
-        else:
-            g, b = grow
-            if derive:
-                d_running = _derivatives_times_power(running, d_running, rows[g - 1], g - 1, b, n)
-            running = _times_power(running, rows[g - 1], b, m)
-        plus = _times_power(rows[i - 1], rows[j - 1], 1, m)
-        minus = _times_power(running, rows[k - 1], a, m)
-        if not derive:
-            if plus != minus:
-                yield (i, j), plus, minus, {}
-            continue
-        d_minus = _derivatives_times_power(running, d_running, rows[k - 1], k - 1, a, n)
-        grad = {l: tuple((d, -c) for d, c in terms) for l, terms in d_minus.items()}
-        for l, other in ((i - 1, j - 1), (j - 1, i - 1)):
-            t = _through(rows[other], n)
-            if t:
-                grad[l] = t
-        yield (i, j), plus, minus, grad
+    tail = None
+    for i, steps in minus_walk(surface):
+        running = _ONE
+        d_running: dict = {}
+        for j, grow, (k, a) in steps:
+            if grow:
+                g, b = grow
+                if derive:
+                    d_running = _derivatives_times_power(running, d_running, rows[g - 1], g - 1, b, n)
+                running = _times_power(running, rows[g - 1], b, m)
+                if not running and not derive:
+                    if tail is None:
+                        orders = [row[0][0] if row else m + 1 for row in rows]
+                        tail = list(accumulate(reversed(orders), min))[::-1]
+                    if orders[i - 1] + tail[j - 1] > m:
+                        break
+            plus = _times_power(rows[i - 1], rows[j - 1], 1, m)
+            minus = _times_power(running, rows[k - 1], a, m)
+            if not derive:
+                if plus != minus:
+                    yield (i, j), plus, minus, {}
+                continue
+            d_minus = _derivatives_times_power(running, d_running, rows[k - 1], k - 1, a, n)
+            grad = {l: tuple((d, -c) for d, c in terms) for l, terms in d_minus.items()}
+            for l, other in ((i - 1, j - 1), (j - 1, i - 1)):
+                t = _through(rows[other], n)
+                if t:
+                    grad[l] = t
+            yield (i, j), plus, minus, grad
 
 
 def _vanishes(rows, m: int, surface: ToricSurface, is_zero) -> bool:

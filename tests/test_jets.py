@@ -15,10 +15,12 @@ from toricjets import (
     ToricSurface,
     TruncatedJet,
     contact_profile,
+    cone_contains,
     contact_vector,
     coordinate_order,
     evaluate,
     generators,
+    hj_evaluate,
     is_member,
     m_cap,
     monomial_arc,
@@ -372,10 +374,9 @@ def test_is_member_rejects_a_wrong_grow_exponent(monkeypatch, family12, at):
     walk = jets.minus_walk
 
     def planted(surface):
-        for i, j, grow, last in walk(surface):
-            if (i, j) == at:
-                grow = (grow[0], grow[1] + 1)
-            yield i, j, grow, last
+        for i, steps in walk(surface):
+            yield i, ((j, (grow[0], grow[1] + 1) if (i, j) == at else grow, last)
+                      for j, grow, last in steps)
 
     monkeypatch.setattr(jets, "minus_walk", planted)
     arcs = [(surf, arc) for surf in family12 if surf.e >= at[1]
@@ -449,9 +450,107 @@ def test_wide_surface_check_catches_a_wrong_end_exponent(monkeypatch):
     walk = jets.minus_walk
 
     def planted(surface):
-        for i, j, grow, (k, a) in walk(surface):
-            yield i, j, grow, (k, a + (j == i + 2))
+        for i, steps in walk(surface):
+            yield i, ((j, grow, (k, a + (j == i + 2))) for j, grow, (k, a) in steps)
 
     monkeypatch.setattr(jets, "minus_walk", planted)
     with pytest.raises(AssertionError):
         _check_is_member_on_wide_surfaces(20261020)
+
+
+def _sparse_orders(jet):
+    """The first degree of each sparse row, unreduced coefficients counted,
+    and m+1 for an empty row: the orders the membership loop reads."""
+    return [next((d for d, c in enumerate(row) if c), jet.m + 1) for row in jet.coords]
+
+
+def _running_order(eq, orders):
+    """Order of the running product of binomial (i, j): its minus monomial
+    without the closing factor x_(j-1), or the product 1 at j = i + 2."""
+    if eq.j == eq.i + 2:
+        return 0
+    return sum(a * o for k, (a, o) in enumerate(zip(eq.minus_exponents, orders))
+               if a and k != eq.j - 2)
+
+
+def _check_dead_i_skip(surf, jet, seen):
+    """Every binomial whose series along the jet is nonzero is yielded by the
+    membership loop, and is_member agrees with evaluate.  seen counts the
+    nonzero binomials that only their plus side keeps alive after the
+    running product has truncated, and those whose plus side starts at t^m."""
+    rows = jets._sparse_rows(jet.coords)
+    yielded = {ij for ij, _, _, _ in jets._binomial_series(rows, jet.m, surf)}
+    is_zero = jet.field.is_zero
+    live = [eq for eq in generators(surf) if not all(map(is_zero, evaluate(eq, jet)))]
+    assert {(eq.i, eq.j) for eq in live} <= yielded, (surf.p, surf.q, jet)
+    assert is_member(jet, surf) == (not live)
+    orders = _sparse_orders(jet)
+    for eq in live:
+        if _running_order(eq, orders) > jet.m:
+            seen["past"] += 1
+            seen["edge"] += orders[eq.i - 1] + orders[eq.j - 1] == jet.m
+
+
+def _skip_surfaces(rng):
+    """(surface, m): seeded surfaces with e = 4..40, entries 2 but a fifth 3
+    or 4, at m = 12..24, and one wide surface of e = 100, entries 2 but one
+    end entry 3, at m = 12."""
+    out = []
+    for e in (4, 5, 6, 8, 12, 16, 24, 40):
+        entries = [rng.choice((2, 2, 2, 2, 3, 4)) for _ in range(e - 2)]
+        q, p = hj_evaluate(entries)
+        out.append((ToricSurface.from_pair(p, q), rng.randint(12, 24)))
+    entries = [2] * 98
+    entries[rng.choice((0, -1))] = 3
+    q, p = hj_evaluate(entries)
+    out.append((ToricSurface.from_pair(p, q), 12))
+    return out
+
+
+def test_membership_loop_skips_only_vanishing_binomials():
+    rng = random.Random(20261021)
+    seen = {"past": 0, "edge": 0}
+    for surf, m in _skip_surfaces(rng):
+        labels = valid_labels(surf, m)
+        for label in rng.sample(labels, min(len(labels), 3 if surf.e < 100 else 1)):
+            v, _ = contact_vector(surf, *label)
+            arc = monomial_arc(surf, v, m)
+            _check_dead_i_skip(surf, arc, seen)
+            # one extra term in a coordinate l at or past the step where the
+            # running product of some i truncates, at degree m - o_i or below
+            orders = _sparse_orders(arc)
+            dead = [(eq.i, eq.j) for eq in generators(surf)
+                    if orders[eq.i - 1] <= m and _running_order(eq, orders) > m]
+            if not dead:
+                continue
+            i, j = rng.choice(dead)
+            l, d = rng.randint(j, surf.e), m - orders[i - 1] - rng.choice((0, 0, 1))
+            for field in (RATIONALS, prime_field(rng.choice((2, 3, 5)))):
+                ch = field.characteristic
+                rows = [list(row) for row in arc.coords]
+                rows[l - 1][max(d, 0)] += rng.randint(1, 4) if not ch else rng.randrange(1, ch)
+                _check_dead_i_skip(surf, TruncatedJet(field, m, rows), seen)
+                if ch:
+                    # unreduced multiples of p: a zero term below the extra
+                    # one, and a coefficient 1 written as 1 + p
+                    k = rng.randrange(surf.e)
+                    rows[k][rng.randint(0, min(orders[k], m))] += ch * rng.randint(1, 3)
+                    rows[i - 1] = [c * (1 + ch) for c in rows[i - 1]]
+                    _check_dead_i_skip(surf, TruncatedJet(field, m, rows), seen)
+    assert seen["past"] >= 20 and seen["edge"] >= 5, seen
+
+
+def test_contact_vector_solves_the_pairing_system_on_wide_surfaces():
+    # the label's arc realizes (s, l) at (i, i+1) and is a member over the
+    # origin, on seeded surfaces with 13 <= q <= 10^4
+    rng = random.Random(20261022)
+    surfaces = _random_wide_surfaces(rng, 60, 100)
+    for surf in surfaces:
+        m = rng.randint(6, 24)
+        for i, s, l in rng.sample(valid_labels(surf, m), 5):
+            v, inside = contact_vector(surf, i, s, l)
+            assert (surf.pairing(i, v), surf.pairing(i + 1, v)) == (s, l)
+            assert inside and cone_contains(surf.cone, v)
+            profile, over = contact_profile(monomial_arc(surf, v, m), surf)
+            assert over and (profile[i - 1], profile[i]) == (s, l)
+    assert max(surf.q for surf in surfaces) > 5000 and max(surf.e for surf in surfaces) >= 50
