@@ -3,9 +3,9 @@
 analyze classifies the jet fiber components of one surface at one level;
 verify drives the symbolic invariant suite and the finite-field oracle;
 witness produces an explicit arc realizing a prescribed contact label.
-Each command builds one document, printed in one of three formats: json
-(canonical: sorted keys, two-space indent), md (default), csv (fixed header
-per subcommand); md and csv are rendered from the document alone.
+Each command builds one document, printed as json (canonical: sorted keys,
+two-space indent), md (default) or csv (fixed header per subcommand), the
+last two from the document alone; analyze writes its json without one.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or validation error,
 3 enumeration guard exceeded.
@@ -29,7 +29,7 @@ from .components import (
     report_as_dict,
     valid_labels,
 )
-from .equations import generators, grading_check
+from .equations import generators, grading_check, minus_walk
 from .errors import (
     GuardExceededError,
     InputRangeError,
@@ -64,12 +64,16 @@ def _default_guard() -> int:
         raise InputRangeError(f"{GUARD_ENV} must be an integer, got {raw!r}") from None
 
 
+class _Raw(str):
+    """JSON text already written for its place in a document; copied as is."""
+
+
 def _canonical_json(doc) -> str:
     """The text of json.dumps(doc, sort_keys=True, indent=2), written without
     the standard encoder: once it indents, that encoder runs in pure Python,
-    one call per integer, and the (e-1)(e-2)/2 dense exponent vectors of an
-    analyze document made it the command's whole cost at large e.  A list of
-    plain ints is joined in one step."""
+    one call per integer.  A list of plain ints is joined in one step, and a
+    _Raw value is copied as it stands; analyze's JSON passes its two large
+    sections that way (see _analyze_json)."""
     out: list[str] = []
     _write_json(doc, "\n", out)
     return "".join(out)
@@ -80,6 +84,9 @@ def _write_json(obj, pad: str, out: list[str]) -> None:
     indent of obj's own line."""
     if type(obj) is int:
         out.append(str(obj))
+        return
+    if type(obj) is _Raw:
+        out.append(obj)
         return
     if type(obj) is str:
         out.append(_json_str(obj))
@@ -140,7 +147,16 @@ def _csv_text(header, rows) -> str:
 
 
 def _analyze_doc(surface: ToricSurface, args) -> dict:
+    """The source of md and csv, and the reference for _analyze_json."""
     report = component_report(surface, args.m)
+    equations = [
+        {"i": eq.i, "j": eq.j, "minus_exponents": list(eq.minus_exponents)}
+        for eq in generators(surface)
+    ]
+    return _analyze_frame(surface, report, equations, report_as_dict(report))
+
+
+def _analyze_frame(surface: ToricSurface, report, equations, components) -> dict:
     dual_cf = report.exceptional_count
     hull = exceptional_count_hull(surface.cone)
     return {
@@ -151,13 +167,52 @@ def _analyze_doc(surface: ToricSurface, args) -> dict:
             "e": surface.e,
             "dual_basis": [list(u) for u in surface.basis],
         },
-        "equations": [
-            {"i": eq.i, "j": eq.j, "minus_exponents": list(eq.minus_exponents)}
-            for eq in generators(surface)
-        ],
-        "components": report_as_dict(report),
+        "equations": equations,
+        "components": components,
         "exceptional": {"dual_cf": dual_cf, "hull": hull, "agree": dual_cf == hull},
     }
+
+
+def _analyze_json(surface: ToricSurface, m: int) -> str:
+    """_canonical_json(_analyze_doc(surface, m)) without the dense document:
+    one template per class, and per step of minus_walk a zero run, the running
+    product's text, the closing factor and a zero run, so only the grow and
+    last exponents go through str.  A step off that shape raises InputRangeError."""
+    report = component_report(surface, m)
+    member = "[\n            %d,\n            %d,\n            %d\n          ]"
+    sep = ",\n          "
+    classes = [
+        f'{{\n        "canonical": [\n          {c[0]},\n          {c[1]},\n          {c[2]}'
+        f'\n        ],\n        "codim": {codim},\n        "dim": {dim},\n        "members": ['
+        f'\n          {sep.join([member % x for x in members])}'
+        f'\n        ],\n        "s": {s}\n      }}'
+        for c, members, s, codim, dim in report.classes
+    ]
+    components = {
+        "m": report.m,
+        "classes": _Raw("[\n      " + ",\n      ".join(classes) + "\n    ]"),
+        "N": {"enumerated": report.n_enumerated, "closed_form": report.n_closed_form},
+        "s1_count": report.s1_count,
+        "exceptional": report.exceptional_count,
+        "main_codim": report.main_codim,
+    }
+    e = surface.e
+    zeros = ",\n        0" * e  # zeros[:11 * n] is a run of n zero exponents
+    rows = []
+    for i, steps in minus_walk(surface):
+        head = f'{{\n      "i": {i},\n      "j": '
+        mid = f',\n      "minus_exponents": [\n        0{zeros[:11 * (i - 1)]}'
+        run = ""  # the running product at positions i+1..j-2
+        for n, (j, grow, (k, a)) in enumerate(steps):
+            if not (0 < i and j == i + 2 + n <= e and k == j - 1 and a >= 0 and (
+                    i < grow[0] == j - 2 and grow[1] >= 0 if grow else n == 0)):
+                raise InputRangeError(f"step (i={i}, j={j}) of minus_walk is off its shape")
+            if grow:
+                run += f",\n        {grow[1]}"
+            rows.append(
+                f"{head}{j}{mid}{run},\n        {a}{zeros[:11 * (e - j + 1)]}\n      ]\n    }}")
+    equations = _Raw("[\n    " + ",\n    ".join(rows) + "\n  ]")
+    return _canonical_json(_analyze_frame(surface, report, equations, components))
 
 
 def _analyze_md(doc: dict) -> str:
@@ -496,7 +551,11 @@ def main(argv=None) -> int:
             raise InputRangeError(f"m must be >= 1, got {args.m}")
         if "guard" in args and args.guard is None:
             args.guard = _default_guard()
-        doc = build(ToricSurface.from_pair(args.p, args.q), args)
+        surface = ToricSurface.from_pair(args.p, args.q)
+        if args.command == "analyze" and args.format == "json":
+            print(_analyze_json(surface, args.m))
+            return 0
+        doc = build(surface, args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -4,8 +4,9 @@ The surface in affine e-space is cut out by the binomials
 x_i x_j - x_{i+1}^{c_{i+1}-1} (prod_{k=i+2}^{j-2} x_k^{c_k-2}) x_{j-1}^{c_{j-1}-1}
 over all pairs 1 <= i < j-1 <= e-1.  For a fixed i the minus monomials are
 one running product, grown by one factor per j, times one closing factor;
-minus_walk yields each i with its binomials in that form, and generators
-expands it into dense exponent vectors for output and for the grading check.
+minus_walk yields each i with its binomials in that form; membership and
+analyze's JSON read it, and generators expands it into dense exponent vectors
+for verify's grading check, for jets.evaluate and for the tests.
 """
 
 from __future__ import annotations

@@ -20,6 +20,23 @@ def coprime_family(qmax):
     return out
 
 
+def random_wide_surfaces(rng, count, emax):
+    """count seeded surfaces with 13 <= q <= 10^4 and e <= emax."""
+    out = []
+    while len(out) < count:
+        q = rng.randint(13, 10 ** 4)
+        p = rng.randint(2, q - 1)
+        if math.gcd(p, q) != 1:
+            continue
+        try:
+            surf = ToricSurface.from_pair(p, q)
+        except EmbeddingDimensionError:  # p = q-1, the hypersurface
+            continue
+        if surf.e <= emax:
+            out.append(surf)
+    return out
+
+
 @pytest.fixture(scope="session")
 def family30():
     return coprime_family(30)

@@ -1,17 +1,21 @@
+import inspect
 import json
 import multiprocessing
 import random
 import re
 import subprocess
 import sys
+import textwrap
 import time
 from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
-from toricjets import ABOVE_M, ToricSurface, cli, components, oracle
+from toricjets import ABOVE_M, ToricSurface, cli, components, equations, hj_evaluate, oracle
 from toricjets.cli import _analyze_doc, _canonical_json, main
+from toricjets.equations import minus_walk
+from conftest import coprime_family
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -113,6 +117,86 @@ def test_canonical_json_matches_the_standard_encoder():
     docs.append(_analyze_doc(surface, Namespace(m=6)))
     for doc in docs:
         assert _canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _wide(e, end):
+    """The bench's wide shape: entries all 2 but the one at end, which is 3."""
+    entries = [2] * (e - 2)
+    entries[end] = 3
+    q, p = hj_evaluate(entries)
+    return ToricSurface.from_pair(p, q)
+
+
+# (surface, m): every pair with q <= 30 at three levels, wide shapes, deep levels
+WRITER_CASES = [
+    *((surf, m) for surf in coprime_family(30) for m in (1, 4, 11)),
+    *((_wide(e, end), 12) for e in (40, 100) for end in (0, -1)),
+    *((ToricSurface.from_pair(p, q), 200) for p, q in [(2, 3), (3, 5)]),
+]
+
+
+def _writer_mismatch():
+    """The first (p, q, m) of WRITER_CASES where cli._analyze_json differs from
+    the canonical text of the analyze document, or None."""
+    return next((
+        (surf.p, surf.q, m) for surf, m in WRITER_CASES
+        if cli._analyze_json(surf, m) != _canonical_json(_analyze_doc(surf, Namespace(m=m)))
+    ), None)
+
+
+def test_analyze_json_writer_matches_the_document(capsys):
+    assert _writer_mismatch() is None
+    surf = _wide(100, -1)
+    code, out, err = _run(capsys, ["analyze", "--p", str(surf.p), "--q", str(surf.q),
+                                   "--m", "12", "--format", "json"])
+    assert code == 0 and err == ""
+    assert out == cli._analyze_json(surf, 12) + "\n"
+
+
+def _plant_in_walk(monkeypatch, at, plant):
+    """Make cli's minus_walk yield plant(grow, last) -> (grow, last) at step at = (i, j)."""
+    def walk(surface):
+        for i, steps in minus_walk(surface):
+            yield i, ((j, *plant(grow, last)) if (i, j) == at else (j, grow, last)
+                      for j, grow, last in steps)
+    monkeypatch.setattr(cli, "minus_walk", walk)
+
+
+def test_analyze_json_writer_catches_a_grow_off_by_one(monkeypatch):
+    _plant_in_walk(monkeypatch, (1, 4), lambda grow, last: ((grow[0], grow[1] + 1), last))
+    assert _writer_mismatch() is not None
+
+
+def test_analyze_json_writer_catches_a_short_zero_run(monkeypatch):
+    # the zero run after the closing factor, one position short
+    source = textwrap.dedent(inspect.getsource(cli._analyze_json))
+    good = "zeros[:11 * (e - j + 1)]"
+    assert good in source
+    namespace = dict(vars(cli))
+    exec(source.replace(good, "zeros[:11 * (e - j)]"), namespace)
+    monkeypatch.setattr(cli, "_analyze_json", namespace["_analyze_json"])
+    assert _writer_mismatch() is not None
+
+
+def test_analyze_json_refuses_a_last_factor_off_its_place(capsys, monkeypatch):
+    _plant_in_walk(monkeypatch, (1, 4), lambda grow, last: (grow, (last[0] - 1, last[1])))
+    code, out, err = _run(capsys, ["analyze", "--p", "3", "--q", "5", "--m", "4",
+                                   "--format", "json"])
+    assert code == 2 and out == ""
+    assert "step (i=1, j=4) of minus_walk" in err
+
+
+def test_analyze_json_builds_no_dense_document(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("analyze --format json built the dense document")
+
+    monkeypatch.setattr(cli, "generators", refuse)
+    monkeypatch.setattr(cli, "report_as_dict", refuse)
+    monkeypatch.setattr(equations.BinomialEquation, "__post_init__", refuse)
+    code, out, err = _run(capsys, ["analyze", "--p", "3", "--q", "5", "--m", "4",
+                                   "--format", "json"])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "analyze_p3_q5_m4.json").read_text()
 
 
 def test_analyze_md_default(capsys):

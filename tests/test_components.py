@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from toricjets import (
@@ -14,6 +16,7 @@ from toricjets import (
     report_as_dict,
     valid_labels,
 )
+from conftest import random_wide_surfaces
 
 
 def _classes(p, q, m):
@@ -192,6 +195,15 @@ def test_count_closed_form_matches_enumeration(family12):
     for surf in family12:
         for m in range(1, 21):
             assert count_closed_form(surf, m) == len(enumerate_classes(surf, m))
+
+
+def test_count_closed_form_matches_enumeration_on_wide_surfaces():
+    rng = random.Random(20261019)
+    surfaces = random_wide_surfaces(rng, 60, 100)
+    for surf in surfaces:
+        m = rng.randint(1, 200)
+        assert count_closed_form(surf, m) == len(enumerate_classes(surf, m)), (surf.p, surf.q, m)
+    assert max(surf.q for surf in surfaces) > 5000 and max(surf.e for surf in surfaces) >= 50
 
 
 def test_count_closed_form_all_twos_branch():

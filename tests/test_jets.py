@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ from toricjets import (
     ABOVE_M,
     RATIONALS,
     CoefficientField,
-    EmbeddingDimensionError,
     InputRangeError,
     NonMemberError,
     ToricSurface,
@@ -28,7 +26,7 @@ from toricjets import (
     truncate,
     valid_labels,
 )
-from conftest import coprime_family
+from conftest import coprime_family, random_wide_surfaces
 
 
 def test_field_validation():
@@ -385,24 +383,6 @@ def test_is_member_rejects_a_wrong_grow_exponent(monkeypatch, family12, at):
     assert not all(is_member(arc, surf) for surf, arc in arcs)
 
 
-def _random_wide_surfaces(rng, count, emax):
-    """count seeded surfaces with 13 <= q <= 10^4 and e <= emax; evaluate
-    costs O(e^3) per member jet, which bounds e."""
-    out = []
-    while len(out) < count:
-        q = rng.randint(13, 10 ** 4)
-        p = rng.randint(2, q - 1)
-        if math.gcd(p, q) != 1:
-            continue
-        try:
-            surf = ToricSurface.from_pair(p, q)
-        except EmbeddingDimensionError:  # p = q-1, the hypersurface
-            continue
-        if surf.e <= emax:
-            out.append(surf)
-    return out
-
-
 def _check_is_member_on_wide_surfaces(seed):
     """is_member against evaluate on seeded surfaces with q up to 10^4, over
     F_2..F_7 at m = 2..4: the monomial arc of a random valid label (a
@@ -411,7 +391,7 @@ def _check_is_member_on_wide_surfaces(seed):
     a random term added, and rows that are zero below a random order."""
     rng = random.Random(seed)
     seen = {True: 0, False: 0}
-    surfaces = _random_wide_surfaces(rng, 50, 16)
+    surfaces = random_wide_surfaces(rng, 50, 16)  # evaluate costs O(e^3) per member jet
     for surf in surfaces:
         for _ in range(6):
             field = prime_field(rng.choice((2, 3, 5, 7)))
@@ -544,7 +524,7 @@ def test_contact_vector_solves_the_pairing_system_on_wide_surfaces():
     # the label's arc realizes (s, l) at (i, i+1) and is a member over the
     # origin, on seeded surfaces with 13 <= q <= 10^4
     rng = random.Random(20261022)
-    surfaces = _random_wide_surfaces(rng, 60, 100)
+    surfaces = random_wide_surfaces(rng, 60, 100)
     for surf in surfaces:
         m = rng.randint(6, 24)
         for i, s, l in rng.sample(valid_labels(surf, m), 5):
