@@ -3,9 +3,11 @@
 analyze classifies the jet fiber components of one surface at one level;
 verify drives the symbolic invariant suite and the finite-field oracle;
 witness produces an explicit arc realizing a prescribed contact label.
-Each command builds one document, printed as json (canonical: sorted keys,
-two-space indent), md (default) or csv (fixed header per subcommand), the
-last two from the document alone; analyze writes its json without one.
+Each command builds one document, printed as json (the standard encoder
+with sorted keys and two-space indent), md (default) or csv (fixed header
+per subcommand), the last two from the document alone.  analyze's json
+builds no document: its equations and classes sections are written as text
+and placed into the standard encoder's text of the rest.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or validation error,
 3 enumeration guard exceeded.
@@ -48,10 +50,10 @@ from .oracle import (
     check_order_propagation,
     coverage_spot_check,
     fiber_profiles,
+    required_budget,
 )
 
 GUARD_ENV = "TORICJETS_GUARD"
-_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 
 def _default_guard() -> int:
@@ -64,55 +66,10 @@ def _default_guard() -> int:
         raise InputRangeError(f"{GUARD_ENV} must be an integer, got {raw!r}") from None
 
 
-class _Raw(str):
-    """JSON text already written for its place in a document; copied as is."""
-
-
 def _canonical_json(doc) -> str:
-    """The text of json.dumps(doc, sort_keys=True, indent=2), written without
-    the standard encoder: once it indents, that encoder runs in pure Python,
-    one call per integer.  A list of plain ints is joined in one step, and a
-    _Raw value is copied as it stands; analyze's JSON passes its two large
-    sections that way (see _analyze_json)."""
-    out: list[str] = []
-    _write_json(doc, "\n", out)
-    return "".join(out)
-
-
-def _write_json(obj, pad: str, out: list[str]) -> None:
-    """Append obj indented as json.dumps does; pad is the newline and the
-    indent of obj's own line."""
-    if type(obj) is int:
-        out.append(str(obj))
-        return
-    if type(obj) is _Raw:
-        out.append(obj)
-        return
-    if type(obj) is str:
-        out.append(_json_str(obj))
-        return
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        sep = "{" + inner
-        for key in sorted(obj):
-            name = key if isinstance(key, str) else json.dumps(key)
-            out.append(sep + _json_str(name) + ": ")
-            _write_json(obj[key], inner, out)
-            sep = "," + inner
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {int}:  # bool is not int here
-            text = repr(obj if type(obj) is list else list(obj))
-            out.append("[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out.append(pad + "]")
-    else:
-        out.append(json.dumps(obj))
+    """Canonical JSON, the standard encoder's text with sorted keys and a
+    two-space indent; _analyze_json places its text-written sections into it."""
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _order_json(o):
@@ -174,10 +131,12 @@ def _analyze_frame(surface: ToricSurface, report, equations, components) -> dict
 
 
 def _analyze_json(surface: ToricSurface, m: int) -> str:
-    """_canonical_json(_analyze_doc(surface, m)) without the dense document:
-    one template per class, and per step of minus_walk a zero run, the running
-    product's text, the closing factor and a zero run, so only the grow and
-    last exponents go through str.  A step off that shape raises InputRangeError."""
+    """_canonical_json(_analyze_doc(surface, m)) without the dense document.
+    The classes and equations sections are written as text, one template per
+    class, and per step of minus_walk a zero run, the running product's text,
+    the closing factor and a zero run, so only the grow and last exponents go
+    through str; each then replaces its placeholder string in the standard
+    encoder's text of the frame.  A step off that shape raises InputRangeError."""
     report = component_report(surface, m)
     member = "[\n            %d,\n            %d,\n            %d\n          ]"
     sep = ",\n          "
@@ -190,7 +149,7 @@ def _analyze_json(surface: ToricSurface, m: int) -> str:
     ]
     components = {
         "m": report.m,
-        "classes": _Raw("[\n      " + ",\n      ".join(classes) + "\n    ]"),
+        "classes": "\0classes",
         "N": {"enumerated": report.n_enumerated, "closed_form": report.n_closed_form},
         "s1_count": report.s1_count,
         "exceptional": report.exceptional_count,
@@ -211,8 +170,10 @@ def _analyze_json(surface: ToricSurface, m: int) -> str:
                 run += f",\n        {grow[1]}"
             rows.append(
                 f"{head}{j}{mid}{run},\n        {a}{zeros[:11 * (e - j + 1)]}\n      ]\n    }}")
-    equations = _Raw("[\n    " + ",\n    ".join(rows) + "\n  ]")
-    return _canonical_json(_analyze_frame(surface, report, equations, components))
+    text = _canonical_json(_analyze_frame(surface, report, "\0equations", components))
+    # the encoder writes each placeholder as "\u0000...", once
+    text = text.replace('"\\u0000classes"', "[\n      " + ",\n      ".join(classes) + "\n    ]", 1)
+    return text.replace('"\\u0000equations"', "[\n    " + ",\n    ".join(rows) + "\n  ]", 1)
 
 
 def _analyze_md(doc: dict) -> str:
@@ -321,11 +282,11 @@ def _verify_doc(surface: ToricSurface, args) -> dict:
         f"enumerated={n_enum} closed_form={n_formula}",
     )
 
-    visited = field ** (surface.e * m)
+    visited = required_budget(surface, OracleConfig(field, m - 1, guard))  # the fiber
     for s in range(1, (m + 1) // 2 + 1):
         sub = OracleConfig(field, 2 * s - 1, guard)
         ok = check_order_propagation(surface, sub, s)
-        visited += field ** (surface.e * 2 * s)
+        visited += required_budget(surface, sub)
         check(f"order_propagation_s{s}", ok, f"full space at m={2 * s - 1}")
 
     coverage = coverage_spot_check(surface, config, profiles)
@@ -497,21 +458,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="toricjets",
         description="Jet fiber component classification for the toric surface of a coprime pair (p, q).",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, required=True, help="first entry of the coprime pair")
+    common.add_argument("--q", type=int, required=True, help="second entry of the coprime pair")
+    common.add_argument("--m", type=int, required=True, help="jet level, >= 1")
+    common.add_argument(
+        "--format", choices=("json", "md", "csv"), default="md", help="output format"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser(
+        "analyze", parents=[common], help="classify the jet fiber components at level m"
+    )
 
-    def add_common(sp):
-        sp.add_argument("--p", type=int, required=True, help="first entry of the coprime pair")
-        sp.add_argument("--q", type=int, required=True, help="second entry of the coprime pair")
-        sp.add_argument("--m", type=int, required=True, help="jet level, >= 1")
-        sp.add_argument(
-            "--format", choices=("json", "md", "csv"), default="md", help="output format"
-        )
-
-    sp = sub.add_parser("analyze", help="classify the jet fiber components at level m")
-    add_common(sp)
-
-    sp = sub.add_parser("verify", help="run the invariant suite and the finite-field oracle")
-    add_common(sp)
+    sp = sub.add_parser(
+        "verify", parents=[common], help="run the invariant suite and the finite-field oracle"
+    )
     sp.add_argument("--field", type=int, required=True, help="prime field characteristic")
     sp.add_argument(
         "--guard",
@@ -526,8 +487,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored: single process")
 
-    sp = sub.add_parser("witness", help="produce the arc realizing a contact label (i, s, l)")
-    add_common(sp)
+    sp = sub.add_parser(
+        "witness", parents=[common], help="produce the arc realizing a contact label (i, s, l)"
+    )
     sp.add_argument("--i", type=int, required=True, help="coordinate index, 2..e-1")
     sp.add_argument("--s", type=int, required=True, help="contact order of x_i")
     sp.add_argument("--l", type=int, required=True, help="contact order of x_{i+1}")

@@ -70,14 +70,6 @@ class CoefficientField:
                 f"characteristic must be 0 or a prime, got {self.characteristic}"
             )
 
-    @property
-    def zero(self):
-        return 0 if self.characteristic else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.characteristic else Fraction(1)
-
     def is_zero(self, x) -> bool:
         if self.characteristic:
             return x % self.characteristic == 0
