@@ -9,6 +9,9 @@ per subcommand), the last two from the document alone.  analyze's json
 builds no document: its equations and classes sections are written as text
 and placed into the standard encoder's text of the rest.
 
+main builds one parser, for the named command alone; the full tree of all
+three commands only when the first argument names no command.
+
 Exit codes: 0 pass, 1 verification failure, 2 usage or validation error,
 3 enumeration guard exceeded.
 """
@@ -453,60 +456,65 @@ def _witness_csv(doc: dict) -> str:
 # ---------------------------------------------------------------- driver
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the options of every command, as (flag, add_argument keywords) pairs
+SHARED_OPTIONS = (
+    ("--p", dict(type=int, required=True, help="first entry of the coprime pair")),
+    ("--q", dict(type=int, required=True, help="second entry of the coprime pair")),
+    ("--m", dict(type=int, required=True, help="jet level, >= 1")),
+    ("--format", dict(choices=("json", "md", "csv"), default="md", help="output format")),
+)
+
+# command -> (help line, its own options, document builder, md renderer, csv renderer);
+# json is canonical
+COMMANDS = {
+    "analyze": ("classify the jet fiber components at level m", (),
+                _analyze_doc, _analyze_md, _analyze_csv),
+    "verify": ("run the invariant suite and the finite-field oracle", (
+        ("--field", dict(type=int, required=True, help="prime field characteristic")),
+        ("--guard", dict(type=int, default=None, help="enumeration point budget "
+                         f"(default {DEFAULT_GUARD}, or ${GUARD_ENV})")),
+        ("--strict", dict(action="store_true",
+                          help="treat experimental count mismatches as hard failures")),
+        ("--jobs", dict(type=int, default=1, help="accepted and ignored: single process")),
+    ), _verify_doc, _verify_md, _verify_csv),
+    "witness": ("produce the arc realizing a contact label (i, s, l)", (
+        ("--i", dict(type=int, required=True, help="coordinate index, 2..e-1")),
+        ("--s", dict(type=int, required=True, help="contact order of x_i")),
+        ("--l", dict(type=int, required=True, help="contact order of x_{i+1}")),
+    ), _witness_doc, _witness_md, _witness_csv),
+}
+
+
+def _with_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    parser.set_defaults(command=command)
+    for flag, kwargs in SHARED_OPTIONS + COMMANDS[command][1]:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """A new parser for one command, prog "toricjets <command>"; with no command,
+    the full tree of the top-level parser and one subparser per command.  main
+    builds the full tree only when its first argument names no command."""
+    if command is not None:
+        return _with_options(argparse.ArgumentParser(prog=f"toricjets {command}"), command)
     parser = argparse.ArgumentParser(
         prog="toricjets",
         description="Jet fiber component classification for the toric surface of a coprime pair (p, q).",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, required=True, help="first entry of the coprime pair")
-    common.add_argument("--q", type=int, required=True, help="second entry of the coprime pair")
-    common.add_argument("--m", type=int, required=True, help="jet level, >= 1")
-    common.add_argument(
-        "--format", choices=("json", "md", "csv"), default="md", help="output format"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "analyze", parents=[common], help="classify the jet fiber components at level m"
-    )
-
-    sp = sub.add_parser(
-        "verify", parents=[common], help="run the invariant suite and the finite-field oracle"
-    )
-    sp.add_argument("--field", type=int, required=True, help="prime field characteristic")
-    sp.add_argument(
-        "--guard",
-        type=int,
-        default=None,
-        help=f"enumeration point budget (default {DEFAULT_GUARD}, or ${GUARD_ENV})",
-    )
-    sp.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat experimental count mismatches as hard failures",
-    )
-    sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored: single process")
-
-    sp = sub.add_parser(
-        "witness", parents=[common], help="produce the arc realizing a contact label (i, s, l)"
-    )
-    sp.add_argument("--i", type=int, required=True, help="coordinate index, 2..e-1")
-    sp.add_argument("--s", type=int, required=True, help="contact order of x_i")
-    sp.add_argument("--l", type=int, required=True, help="contact order of x_{i+1}")
+    for name, entry in COMMANDS.items():
+        _with_options(sub.add_parser(name, help=entry[0]), name)
     return parser
 
 
-# command -> (document builder, md renderer, csv renderer); json is canonical
-COMMANDS = {
-    "analyze": (_analyze_doc, _analyze_md, _analyze_csv),
-    "verify": (_verify_doc, _verify_md, _verify_csv),
-    "witness": (_witness_doc, _witness_md, _witness_csv),
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    build, render_md, render_csv = COMMANDS[args.command]
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        args = _build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = _build_parser().parse_args(argv)
+    build, render_md, render_csv = COMMANDS[args.command][2:]
     try:
         # m, then the guard environment, then the pair: the first bad input is reported
         if args.m < 1:

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import multiprocessing
@@ -553,13 +554,90 @@ def test_verify_jobs_flag(capsys, monkeypatch):
         assert out_seq == out_par
 
 
-def test_usage_error_exits_2():
+def _exit_of(capsys, argv):
+    """(exit code, stdout, stderr) of a main call that argparse ends."""
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--p", "2", "--q", "3"])  # missing --m
-    assert exc.value.code == 2
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_usage_error_exits_2(capsys):
+    tree_usage = "usage: toricjets [-h] {analyze,verify,witness} ...\n"
+    for argv, usage in [
+        (["analyze", "--p", "2", "--q", "3"], "usage: toricjets analyze [-h]"),  # missing --m
+        (["analyze", "--p", "2", "--q", "3", "--m", "2", "--format", "xml"],
+         "usage: toricjets analyze [-h]"),
+        ([], tree_usage),  # no command
+        (["bogus"], tree_usage),
+        (["--p", "2", "analyze"], tree_usage),  # an option before the command
+        # an option of another command: reported by analyze's own parser
+        (["analyze", "--p", "2", "--q", "3", "--m", "2", "--field", "3"],
+         "usage: toricjets analyze [-h]"),
+    ]:
+        code, out, err = _exit_of(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith(usage), argv
+    assert err.endswith("toricjets analyze: error: unrecognized arguments: --field 3\n")
+
+
+def _spy_parsers(monkeypatch):
+    """The prog of every ArgumentParser built from here on, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--p", "3", "--q", "5", "--m", "4", "--format", "json"],
+    ["verify", "--p", "2", "--q", "3", "--m", "1", "--field", "3", "--format", "csv"],
+    ["witness", "--p", "3", "--q", "5", "--m", "4", "--i", "3", "--s", "1", "--l", "2"],
+], ids=lambda argv: argv[0])
+def test_main_builds_only_the_command_parser(capsys, monkeypatch, argv):
+    built = _spy_parsers(monkeypatch)
+    code, _, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert built == [f"toricjets {argv[0]}"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "witness"])
+def test_command_help_matches_the_full_tree(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = _exit_of(capsys, [command, "-h"])
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--p", "2", "--q", "3", "--m", "2", "--format", "xml"])
-    assert exc.value.code == 2
+        cli._build_parser().parse_args([command, "-h"])
+    assert code == exc.value.code == 0
+    assert out == capsys.readouterr().out
+    assert out.startswith(f"usage: toricjets {command} [-h] --p P --q Q --m M ")
+
+
+def test_help_builds_the_full_tree(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = _spy_parsers(monkeypatch)
+    code, out, _ = _exit_of(capsys, ["-h"])
+    assert code == 0
+    assert built == ["toricjets", "toricjets analyze", "toricjets verify", "toricjets witness"]
+    assert out.startswith("usage: toricjets [-h] {analyze,verify,witness} ...\n")
+    for line in [
+        "    analyze             classify the jet fiber components at level m",
+        "    verify              run the invariant suite and the finite-field oracle",
+        "    witness             produce the arc realizing a contact label (i, s, l)",
+    ]:
+        assert line in out.splitlines()
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["toricjets", "analyze", "--p", "5", "--q", "7",
+                                      "--m", "3", "--format", "json"])
+    code, out, _ = _run(capsys, None)
+    assert code == 0
+    assert out == (GOLDEN / "analyze_p5_q7_m3.json").read_text()
 
 
 def test_console_script_roundtrip():
