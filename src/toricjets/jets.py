@@ -7,13 +7,14 @@ makes monomial arcs (single-term coordinates) cheap to test for membership.
 Membership walks the binomials of equations.minus_walk: for a fixed i the
 minus monomials are one running product, grown by one factor per equation,
 so a check costs O(e^2) sparse products rather than O(e^3), and it stops at
-the first binomial that does not vanish.  Once the running product and the
-plus side of every binomial left for that i have truncated to zero, the rest
-of that i is skipped: on a monomial arc, where most products truncate, this
-leaves a few steps per i.  That loop (_vanishes) also decides the oracle's
-fiber nodes.  The same walk, through _taylor, gives the
-coefficients and derivative series of the one linear system by which the
-oracle lifts member jets.
+the first binomial that does not vanish.  It leaves an i as soon as degrees
+show that both sides of every binomial left for it truncate: the plus sides
+start at o_i + min(o_j, ..., o_e) or later and the minus sides at the
+running product's lowest degree plus min(o_(j-1), ..., o_e), o_l being the
+order of row l.  On a monomial arc this leaves a few steps per i.  That loop
+(_vanishes) also decides the oracle's fiber nodes.  The same walk, through
+_taylor, gives the coefficients and derivative series of the one linear
+system by which the oracle lifts member jets.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def coordinate_order(jet: TruncatedJet, j: int):
         raise InputRangeError(f"coordinate index must be in 1..{jet.e}, got {j}")
     is_zero = jet.field.is_zero
     for b, c in enumerate(jet.coords[j - 1]):
-        if not is_zero(c):
+        if c and not is_zero(c):
             return b
     return ABOVE_M
 
@@ -165,6 +166,9 @@ def _times_power(acc, row, a: int, m: int):
     if len(row) == 1:
         d2, c2 = row[0]
         shift = d2 * a
+        if len(acc) == 1:
+            d1, c1 = acc[0]
+            return ((d1 + shift, c1 * c2**a),) if d1 + shift <= m else ()
         scale = c2**a
         return tuple((d1 + shift, c1 * scale) for d1, c1 in acc if d1 + shift <= m)
     for _ in range(a):
@@ -238,10 +242,15 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
 
     With n < 0, the membership test's mode, a binomial whose sides have
     equal term lists vanishes without any reduction and is skipped, and grad
-    is empty.  So is the rest of an i once its running product is () and
-    o_i + min(o_j, ..., o_e) > m, o_l being the first degree of row l (m+1
-    for an empty row): every binomial (i, j') left then has plus == minus
-    == ().  With 0 <= n <= m every binomial is yielded, and grad maps
+    is empty.  So is the rest of an i at step j once o_i + min(o_j, ..., o_e)
+    > m and low + min(o_(j-1), ..., o_e) > m, o_l being the first degree of
+    row l (m+1 for an empty row) and low the sum of b o_g over the grow
+    factors (g, b) so far.  low is the running product's exact lowest degree,
+    since the lowest terms of its factors multiply to a nonzero coefficient;
+    so a running product that has truncated to () has low > m.  Every
+    binomial (i, j') left has plus x_i x_j' with j' >= j and minus the
+    running product times x_k^a with k >= j-1 and a >= 1, so both are ().
+    With 0 <= n <= m every binomial is yielded, and grad maps
     each 0-based coordinate l to the sparse terms through t^n of the
     binomial's derivative by x_(l+1), a coordinate whose derivative
     truncates to zero being left out.  The running product carries its
@@ -249,9 +258,11 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
     closing one included.
     """
     derive = n >= 0
-    tail = None
+    orders = [row[0][0] if row else m + 1 for row in rows]
+    tail = list(accumulate(reversed(orders), min))[::-1]
     for i, steps in minus_walk(surface):
         running = _ONE
+        low = 0
         d_running: dict = {}
         for j, grow, (k, a) in steps:
             if grow:
@@ -259,12 +270,9 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
                 if derive:
                     d_running = _derivatives_times_power(running, d_running, rows[g - 1], g - 1, b, n)
                 running = _times_power(running, rows[g - 1], b, m)
-                if not running and not derive:
-                    if tail is None:
-                        orders = [row[0][0] if row else m + 1 for row in rows]
-                        tail = list(accumulate(reversed(orders), min))[::-1]
-                    if orders[i - 1] + tail[j - 1] > m:
-                        break
+                low += b * orders[g - 1]
+            if not derive and orders[i - 1] + tail[j - 1] > m and low + tail[j - 2] > m:
+                break
             plus = _times_power(rows[i - 1], rows[j - 1], 1, m)
             minus = _times_power(running, rows[k - 1], a, m)
             if not derive:
@@ -363,8 +371,8 @@ def monomial_arc(
             f"v={v} is outside the cone of (p, q) = ({surface.p}, {surface.q})"
         )
     rows = []
-    for j in range(1, surface.e + 1):
-        d = surface.pairing(j, v)
+    for u in surface.basis:
+        d = u[0] * v[0] + u[1] * v[1]
         # int 0/1 are valid representatives in every characteristic and keep
         # the witness suite on native integer arithmetic
         row = [0] * (m + 1)

@@ -453,11 +453,21 @@ def _running_order(eq, orders):
                if a and k != eq.j - 2)
 
 
+def _tails(orders):
+    """tail[l] = min(orders[l:]), the least order from coordinate l+1 on."""
+    return [min(orders[l:]) for l in range(len(orders))]
+
+
 def _check_dead_i_skip(surf, jet, seen):
     """Every binomial whose series along the jet is nonzero is yielded by the
     membership loop, and is_member agrees with evaluate.  seen counts the
     nonzero binomials that only their plus side keeps alive after the
-    running product has truncated, and those whose plus side starts at t^m."""
+    running product has truncated ("past"), and those whose plus side starts
+    at t^m ("edge").  It also counts the nonzero binomials (i, j) that only
+    their minus side keeps alive, o_i + min(o_j, ..., o_e) > m ("minus"):
+    those whose running order plus min(o_j, ..., o_e) is past m too, so that
+    only the closing x_(j-1) brings the minus side to t^m ("closing"), and
+    those whose running order plus min(o_(j-1), ..., o_e) is m ("at_m")."""
     rows = jets._sparse_rows(jet.coords)
     yielded = {ij for ij, _, _, _ in jets._binomial_series(rows, jet.m, surf)}
     is_zero = jet.field.is_zero
@@ -465,10 +475,34 @@ def _check_dead_i_skip(surf, jet, seen):
     assert {(eq.i, eq.j) for eq in live} <= yielded, (surf.p, surf.q, jet)
     assert is_member(jet, surf) == (not live)
     orders = _sparse_orders(jet)
+    tail = _tails(orders)
     for eq in live:
-        if _running_order(eq, orders) > jet.m:
+        low = _running_order(eq, orders)
+        if low > jet.m:
             seen["past"] += 1
             seen["edge"] += orders[eq.i - 1] + orders[eq.j - 1] == jet.m
+        if orders[eq.i - 1] + tail[eq.j - 1] > jet.m:
+            seen["minus"] += 1
+            seen["closing"] += low + tail[eq.j - 1] > jet.m
+            seen["at_m"] += low + tail[eq.j - 2] == jet.m
+
+
+def _minus_side_term(rng, eq, orders, m):
+    """(l, d): a coordinate l of the minus monomial of eq, the closing x_(j-1)
+    or a grow factor, and a degree d below its order at which a planted term
+    brings the minus side to t^m or below; None when no such d >= 0."""
+    low = _running_order(eq, orders)
+    a = eq.minus_exponents[eq.j - 2]
+    grow = [k + 1 for k, b in enumerate(eq.minus_exponents) if b and k != eq.j - 2]
+    if grow and rng.random() < 0.5:
+        l = rng.choice(grow)
+        b = eq.minus_exponents[l - 1]
+        # lowering o_l by ceil(excess / b) brings low + a o_(j-1) down to m
+        excess = low + a * orders[eq.j - 2] - m
+        d = orders[l - 1] - -(-excess // b) - rng.choice((0, 0, 1))
+    else:
+        l, d = eq.j - 1, (m - low) // a - rng.choice((0, 0, 1))
+    return (l, d) if d >= 0 else None
 
 
 def _skip_surfaces(rng):
@@ -489,16 +523,35 @@ def _skip_surfaces(rng):
 
 def test_membership_loop_skips_only_vanishing_binomials():
     rng = random.Random(20261021)
-    seen = {"past": 0, "edge": 0}
+    plant = random.Random(20261024)  # the minus-side terms, apart from rng's draws
+    seen = dict.fromkeys(("past", "edge", "minus", "closing", "at_m"), 0)
     for surf, m in _skip_surfaces(rng):
         labels = valid_labels(surf, m)
         for label in rng.sample(labels, min(len(labels), 3 if surf.e < 100 else 1)):
             v, _ = contact_vector(surf, *label)
             arc = monomial_arc(surf, v, m)
             _check_dead_i_skip(surf, arc, seen)
+            orders = _sparse_orders(arc)
+            # one extra term in the minus monomial of a binomial (i, j) whose
+            # plus side and every one after it for that i is past t^m, while
+            # its running product is still alive; not on the e = 100 surface,
+            # where each check evaluates 4,851 binomials
+            tail = _tails(orders)
+            alive = [] if surf.e == 100 else [
+                eq for eq in generators(surf)
+                if orders[eq.i - 1] + tail[eq.j - 1] > m and _running_order(eq, orders) <= m]
+            for eq in plant.sample(alive, min(len(alive), 2)):
+                term = _minus_side_term(plant, eq, orders, m)
+                if term is None:
+                    continue
+                l, d = term
+                for field in (RATIONALS, prime_field(plant.choice((2, 3, 5)))):
+                    ch = field.characteristic
+                    rows = [list(row) for row in arc.coords]
+                    rows[l - 1][d] += plant.randint(1, 4) if not ch else plant.randrange(1, ch)
+                    _check_dead_i_skip(surf, TruncatedJet(field, m, rows), seen)
             # one extra term in a coordinate l at or past the step where the
             # running product of some i truncates, at degree m - o_i or below
-            orders = _sparse_orders(arc)
             dead = [(eq.i, eq.j) for eq in generators(surf)
                     if orders[eq.i - 1] <= m and _running_order(eq, orders) > m]
             if not dead:
@@ -518,6 +571,61 @@ def test_membership_loop_skips_only_vanishing_binomials():
                     rows[i - 1] = [c * (1 + ch) for c in rows[i - 1]]
                     _check_dead_i_skip(surf, TruncatedJet(field, m, rows), seen)
     assert seen["past"] >= 20 and seen["edge"] >= 5, seen
+    assert seen["minus"] >= 50 and seen["closing"] >= 20 and seen["at_m"] >= 5, seen
+
+
+def _expected_steps(surf, arc):
+    """Steps the membership loop takes on a member: for each i, those up to
+    and including the first j with o_i + min(o_j, ..., o_e) > m and low +
+    min(o_(j-1), ..., o_e) > m, low the order of the running product of
+    (i, j), or every step of i when no j qualifies."""
+    orders = _sparse_orders(arc)
+    tail = _tails(orders)
+    steps, left = 0, set()
+    for eq in generators(surf):
+        if eq.i in left:
+            continue
+        steps += 1
+        if (orders[eq.i - 1] + tail[eq.j - 1] > arc.m
+                and _running_order(eq, orders) + tail[eq.j - 2] > arc.m):
+            left.add(eq.i)
+    return steps
+
+
+@pytest.mark.parametrize("entries, m, label, steps", [
+    ((2, 3, 2, 4, 2, 2), 24, (3, 3, 6), 16),
+    ((2, 2, 2, 2, 2, 3, 2, 2, 2, 2, 4, 2, 2, 2), 14, (10, 4, 4), 42),
+    ((2, 2, 3, 2, 2, 2, 2, 4, 2, 2) * 3 + (2, 3, 2, 2, 2, 2, 4, 2), 12, (16, 3, 3), 80),
+])
+def test_membership_loop_leaves_each_i_at_its_first_degree_bound(monkeypatch, entries, m, label, steps):
+    # on a monomial arc every i is left at the first step whose degree
+    # bounds hold, counted on the steps the loop draws from minus_walk
+    q, p = hj_evaluate(list(entries))
+    surf = ToricSurface.from_pair(p, q)
+    arc = monomial_arc(surf, contact_vector(surf, *label)[0], m)
+    walk, drawn = jets.minus_walk, []
+
+    def spy(surface):
+        for i, walk_steps in walk(surface):
+            yield i, (drawn.append(step) or step for step in walk_steps)
+
+    monkeypatch.setattr(jets, "minus_walk", spy)
+    assert is_member(arc, surf)
+    assert len(drawn) == _expected_steps(surf, arc) == steps < len(generators(surf))
+
+
+def test_contact_profile_reads_orders_through_the_field():
+    # over F_3 an unreduced 3 or 6 below a coordinate's first true term is
+    # zero: the jet is the same member and has the same profile as the arc
+    surf = ToricSurface.from_pair(5, 7)
+    f3 = prime_field(3)
+    arc = monomial_arc(surf, (3, 4), 6, f3)
+    rows = [list(row) for row in arc.coords]
+    for row, c in zip(rows, (3, 6, 3, 6, 3)):
+        row[row.index(1) - 1] = c
+    jet = TruncatedJet(f3, 6, rows)
+    assert is_member(jet, surf)
+    assert contact_profile(jet, surf) == contact_profile(arc, surf) == ((4, 3, 2, 1, 1), True)
 
 
 def test_contact_vector_solves_the_pairing_system_on_wide_surfaces():
