@@ -6,8 +6,9 @@ witness produces an explicit arc realizing a prescribed contact label.
 Each command builds one document, printed as json (the standard encoder
 with sorted keys and two-space indent), md (default) or csv (fixed header
 per subcommand), the last two from the document alone.  analyze's json
-builds no document: its equations and classes sections are written as text
-and placed into the standard encoder's text of the rest.
+builds no document: its equations (from minus_walk) and classes (from the
+gluing scan class_runs) are written as text and placed into the standard
+encoder's text of the rest.
 
 main builds one parser, for the named command alone; the full tree of all
 three commands only when the first argument names no command.
@@ -26,11 +27,14 @@ import os
 import sys
 import time
 
+from . import components
 from .components import (
+    class_runs,
     component_report,
     count_closed_form,
     enumerate_classes,
     m_cap,
+    main_codim,
     report_as_dict,
     valid_labels,
 )
@@ -45,6 +49,7 @@ from .jets import ABOVE_M, contact_profile, monomial_arc
 from .lattice import (
     ToricSurface,
     contact_vector,
+    exceptional_count_dual_cf,
     exceptional_count_hull,
 )
 from .oracle import (
@@ -113,11 +118,10 @@ def _analyze_doc(surface: ToricSurface, args) -> dict:
         {"i": eq.i, "j": eq.j, "minus_exponents": list(eq.minus_exponents)}
         for eq in generators(surface)
     ]
-    return _analyze_frame(surface, report, equations, report_as_dict(report))
+    return _analyze_frame(surface, report.exceptional_count, equations, report_as_dict(report))
 
 
-def _analyze_frame(surface: ToricSurface, report, equations, components) -> dict:
-    dual_cf = report.exceptional_count
+def _analyze_frame(surface: ToricSurface, dual_cf: int, equations, comp) -> dict:
     hull = exceptional_count_hull(surface.cone)
     return {
         "surface": {
@@ -128,35 +132,45 @@ def _analyze_frame(surface: ToricSurface, report, equations, components) -> dict
             "dual_basis": [list(u) for u in surface.basis],
         },
         "equations": equations,
-        "components": components,
+        "components": comp,
         "exceptional": {"dual_cf": dual_cf, "hull": hull, "agree": dual_cf == hull},
     }
 
 
 def _analyze_json(surface: ToricSurface, m: int) -> str:
-    """_canonical_json(_analyze_doc(surface, m)) without the dense document.
-    The classes and equations sections are written as text, one template per
-    class, and per step of minus_walk a zero run, the running product's text,
-    the closing factor and a zero run, so only the grow and last exponents go
-    through str; each then replaces its placeholder string in the standard
+    """_canonical_json(_analyze_doc(surface, m)) without the dense document or
+    any ComponentClass.  The classes are written from class_runs: a glued run
+    from one template per class, a span of singletons (i, s, l) from one
+    template per (i, s) with l filled in; the equations per step of minus_walk
+    as a zero run, the running product's text, the closing factor and a zero
+    run.  Each section replaces its placeholder string in the standard
     encoder's text of the frame.  A step off that shape raises InputRangeError."""
-    report = component_report(surface, m)
-    member = "[\n            %d,\n            %d,\n            %d\n          ]"
+    canon = '{\n        "canonical": [\n          %s,\n          %s,\n          %s\n        ],\n'
+    member = "[\n            %s,\n            %s,\n            %s\n          ]"
     sep = ",\n          "
-    classes = [
-        f'{{\n        "canonical": [\n          {c[0]},\n          {c[1]},\n          {c[2]}'
-        f'\n        ],\n        "codim": {codim},\n        "dim": {dim},\n        "members": ['
-        f'\n          {sep.join([member % x for x in members])}'
-        f'\n        ],\n        "s": {s}\n      }}'
-        for c, members, s, codim, dim in report.classes
-    ]
-    components = {
-        "m": report.m,
+    classes = []
+    s1_count = 0
+    for s, codim, dim, groups in class_runs(surface, m):
+        body = f'        "codim": {codim},\n        "dim": {dim},\n        "members": [\n          '
+        tail = f'\n        ],\n        "s": {s}\n      }}'
+        for g in groups:
+            if isinstance(g, list):  # a glued run
+                classes.append(canon % g[0] + body + sep.join([member % x for x in g]) + tail)
+            else:  # (i, span): the singleton classes (i, s, l)
+                i, span = g
+                single = canon % (i, s, "%d") + body + member % (i, s, "%d") + tail
+                classes += [single % (l, l) for l in span]
+        if s == 1:
+            s1_count = len(classes)
+    dual_cf = exceptional_count_dual_cf(surface.cone)
+    comp = {
+        "m": m,
         "classes": "\0classes",
-        "N": {"enumerated": report.n_enumerated, "closed_form": report.n_closed_form},
-        "s1_count": report.s1_count,
-        "exceptional": report.exceptional_count,
-        "main_codim": report.main_codim,
+        # the count component_report reads for md and csv, through its module
+        "N": {"enumerated": len(classes), "closed_form": components.count_closed_form(surface, m)},
+        "s1_count": s1_count,
+        "exceptional": dual_cf,
+        "main_codim": main_codim(surface, m),
     }
     e = surface.e
     zeros = ",\n        0" * e  # zeros[:11 * n] is a run of n zero exponents
@@ -173,7 +187,7 @@ def _analyze_json(surface: ToricSurface, m: int) -> str:
                 run += f",\n        {grow[1]}"
             rows.append(
                 f"{head}{j}{mid}{run},\n        {a}{zeros[:11 * (e - j + 1)]}\n      ]\n    }}")
-    text = _canonical_json(_analyze_frame(surface, report, "\0equations", components))
+    text = _canonical_json(_analyze_frame(surface, dual_cf, "\0equations", comp))
     # the encoder writes each placeholder as "\u0000...", once
     text = text.replace('"\\u0000classes"', "[\n      " + ",\n      ".join(classes) + "\n    ]", 1)
     return text.replace('"\\u0000equations"', "[\n    " + ",\n    ".join(rows) + "\n  ]", 1)

@@ -5,7 +5,8 @@ pair of adjacent coordinates, the common order s = ord x_i, and the order
 l = ord x_{i+1}, constrained by s <= l <= m_i^s.  Certain labels describe
 the same component; applying those identifications leaves classes that are
 counted, measured, and compared against a closed-form count that never
-enumerates anything.
+enumerates anything.  class_runs, the one gluing scan, yields the classes
+as glued runs and spans of singletons, for enumerate_classes and analyze.
 """
 
 from __future__ import annotations
@@ -69,23 +70,19 @@ def valid_labels(surface: ToricSurface, m: int) -> list[Label]:
     return out
 
 
-def enumerate_classes(surface: ToricSurface, m: int) -> list[ComponentClass]:
-    """All component classes at level m, identifications applied, sorted.
-
+def class_runs(surface: ToricSurface, m: int):
+    """The one gluing scan: per s, yield (s, codim, dim, groups) in class order.
     Label (i, s, s) is glued to (i+1, s, m_{i+1}^s) for every i in 2..e-2.
     Gluings only link adjacent indices, so each class is a run of consecutive
     indices, scanned in one pass over i per s: the run through (i, s, s)
     takes in (i+1, s, m_{i+1}^s), and goes on past i+1 exactly when that cap
-    collapses to s.  Classes come out sorted by (s, canonical), the canonical
-    label being the least member under (s, i, l).
+    collapses to s.  A group is either such a run, as a list of labels, or
+    (i, range(s+1, top+1)), standing for the singleton classes (i, s, l).
     """
     if m < 1:
         raise InputRangeError(f"jet level must be >= 1, got {m}")
-    out: list[ComponentClass] = []
     for s in range(1, (m + 1) // 2 + 1):
-        codim = codimension(surface, s, m)
-        dim = dimension(surface, s, m)
-        groups: list[list[Label]] = []
+        groups: list[list[Label] | tuple[int, range]] = []
         run: list[Label] | None = None  # the class of (i-1, s, s)
         for i in range(2, surface.e):
             cap = m_cap(surface, i, s, m)
@@ -96,9 +93,19 @@ def enumerate_classes(surface: ToricSurface, m: int) -> list[ComponentClass]:
                     continue  # (i, s, s) itself joined, so the run goes on
                 top = cap - 1
             run = [(i, s, s)]
-            groups.append(run)
-            groups.extend([(i, s, l)] for l in range(s + 1, top + 1))
-        out.extend(ComponentClass(g[0], tuple(g), s, codim, dim) for g in groups)
+            groups += [run, (i, range(s + 1, top + 1))]
+        yield s, codimension(surface, s, m), dimension(surface, s, m), groups
+
+
+def enumerate_classes(surface: ToricSurface, m: int) -> list[ComponentClass]:
+    """All component classes at level m: class_runs, the one gluing scan,
+    expanded into ComponentClasses, sorted by (s, canonical), the canonical
+    label being the least member of its class under (s, i, l)."""
+    out: list[ComponentClass] = []
+    for s, codim, dim, groups in class_runs(surface, m):
+        for g in groups:
+            runs = [g] if isinstance(g, list) else [[(g[0], s, l)] for l in g[1]]
+            out.extend(ComponentClass(r[0], tuple(r), s, codim, dim) for r in runs)
     return out
 
 
@@ -144,12 +151,14 @@ class ComponentReport:
     main_codim: int
 
 
-def component_report(surface: ToricSurface, m: int) -> ComponentReport:
-    """Classify at level m and bundle counts, caps, and resolution data.
+def main_codim(surface: ToricSurface, m: int) -> int:
+    """(m+1)(e-2), the codimension of the closure of the jets over the smooth
+    locus; metadata, not one of the classes."""
+    return (m + 1) * (surface.e - 2)
 
-    main_codim = (m+1)(e-2) is the codimension of the closure of the jets
-    over the smooth locus; it is metadata, not one of the classes.
-    """
+
+def component_report(surface: ToricSurface, m: int) -> ComponentReport:
+    """Classify at level m and bundle counts, caps, and resolution data."""
     classes = tuple(enumerate_classes(surface, m))
     return ComponentReport(
         m=m,
@@ -158,7 +167,7 @@ def component_report(surface: ToricSurface, m: int) -> ComponentReport:
         n_closed_form=count_closed_form(surface, m),
         s1_count=sum(1 for cl in classes if cl.s == 1),
         exceptional_count=exceptional_count_dual_cf(surface.cone),
-        main_codim=(m + 1) * (surface.e - 2),
+        main_codim=main_codim(surface, m),
     )
 
 

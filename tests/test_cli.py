@@ -14,8 +14,10 @@ import pytest
 
 from toricjets import ABOVE_M, ToricSurface, cli, components, equations, hj_evaluate, oracle
 from toricjets.cli import _analyze_doc, _canonical_json, main
+from toricjets.components import class_runs
 from toricjets.equations import minus_walk
 from conftest import coprime_family
+import test_components
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -141,15 +143,60 @@ def test_analyze_json_writer_catches_a_grow_off_by_one(monkeypatch):
     assert _writer_mismatch() is not None
 
 
+def _plant_in_source(monkeypatch, module, name, good, bad, into=()):
+    """Re-execute module.name's source with good replaced by bad, and patch the
+    result over name in module and in every module of into."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(good) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(good, bad), namespace)
+    for target in (module, *into):
+        monkeypatch.setattr(target, name, namespace[name])
+
+
 def test_analyze_json_writer_catches_a_short_zero_run(monkeypatch):
     # the zero run after the closing factor, one position short
-    source = textwrap.dedent(inspect.getsource(cli._analyze_json))
-    good = "zeros[:11 * (e - j + 1)]"
-    assert good in source
-    namespace = dict(vars(cli))
-    exec(source.replace(good, "zeros[:11 * (e - j)]"), namespace)
-    monkeypatch.setattr(cli, "_analyze_json", namespace["_analyze_json"])
+    _plant_in_source(monkeypatch, cli, "_analyze_json",
+                     "zeros[:11 * (e - j + 1)]", "zeros[:11 * (e - j)]")
     assert _writer_mismatch() is not None
+
+
+def test_analyze_json_writer_catches_a_singleton_member_off_by_one(monkeypatch):
+    # the span's template writes (i, s, l+1) among the members of (i, s, l)
+    _plant_in_source(monkeypatch, cli, "_analyze_json",
+                     "single % (l, l)", "single % (l, l + 1)")
+    assert _writer_mismatch() is not None
+
+
+def test_analyze_json_writer_catches_s1_count_over_every_s(monkeypatch):
+    _plant_in_source(monkeypatch, cli, "_analyze_json", "if s == 1:", "if True:")
+    assert _writer_mismatch() is not None
+
+
+def test_analyze_json_writer_catches_a_glued_run_as_a_singleton(monkeypatch):
+    # each glued run goes through the singleton template, which keeps only
+    # its first member (i, s, s)
+    def runs(surface, m):
+        for s, codim, dim, groups in class_runs(surface, m):
+            yield s, codim, dim, [(g[0][0], range(s, s + 1)) if isinstance(g, list) else g
+                                  for g in groups]
+
+    monkeypatch.setattr(cli, "class_runs", runs)
+    assert _writer_mismatch() is not None
+
+
+def test_class_runs_span_off_by_one_reaches_both_consumers(capsys, monkeypatch):
+    # a span one past its end: every consumer of class_runs agrees, so the
+    # writer check cannot see it, but the union-find reference and the count do
+    _plant_in_source(monkeypatch, components, "class_runs",
+                     "range(s + 1, top + 1)", "range(s + 1, top + 2)", into=(cli,))
+    assert _writer_mismatch() is None
+    with pytest.raises(AssertionError):
+        test_components.test_classes_match_union_find_reference(coprime_family(12))
+    code, out, _ = _run(capsys, ["analyze", "--p", "3", "--q", "5", "--m", "4",
+                                 "--format", "json"])
+    n = json.loads(out)["components"]["N"]
+    assert code == 0 and n["enumerated"] != n["closed_form"]
 
 
 def test_analyze_json_refuses_a_last_factor_off_its_place(capsys, monkeypatch):
@@ -171,6 +218,30 @@ def test_analyze_json_builds_no_dense_document(capsys, monkeypatch):
                                    "--format", "json"])
     assert code == 0 and err == ""
     assert out == (GOLDEN / "analyze_p3_q5_m4.json").read_text()
+
+
+def test_analyze_json_builds_no_class_objects(capsys, monkeypatch):
+    wide = [(surf, m) for surf, m in WRITER_CASES if surf.e == 100]
+    wants = [_canonical_json(_analyze_doc(surf, Namespace(m=m))) for surf, m in wide]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze --format json built a ComponentClass")
+
+    monkeypatch.setattr(cli, "component_report", refuse)
+    monkeypatch.setattr(cli, "enumerate_classes", refuse)
+    monkeypatch.setattr(components, "enumerate_classes", refuse)
+    monkeypatch.setattr(components.ComponentClass, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        components.ComponentClass((2, 1, 1), ((2, 1, 1),), 1, 1, 1)
+    code, out, err = _run(capsys, ["analyze", "--p", "3", "--q", "5", "--m", "4",
+                                   "--format", "json"])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "analyze_p3_q5_m4.json").read_text()
+    for (surf, m), want in zip(wide, wants, strict=True):
+        code, out, err = _run(capsys, ["analyze", "--p", str(surf.p), "--q", str(surf.q),
+                                       "--m", str(m), "--format", "json"])
+        assert code == 0 and err == ""
+        assert out == want + "\n"
 
 
 def test_analyze_md_default(capsys):
@@ -517,6 +588,15 @@ def test_verify_catches_a_cap_off_by_one(capsys, monkeypatch, off):
     assert code == 1 and "count_agreement" in failed
     # +1 names labels beyond the cap, whose contact vectors leave the cone
     assert ("monomial_arc_witnesses" in failed) == (off == 1)
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_analyze_json_counts_a_cap_off_by_one(capsys, monkeypatch, off):
+    _plant_cap_off_by(monkeypatch, off)
+    code, out, _ = _run(capsys, ["analyze", "--p", "3", "--q", "5", "--m", "4",
+                                 "--format", "json"])
+    n = json.loads(out)["components"]["N"]
+    assert code == 0 and n["enumerated"] != n["closed_form"]
 
 
 def test_stratum_nonempty_catches_no_strata(capsys, monkeypatch):
