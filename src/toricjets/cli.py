@@ -143,8 +143,9 @@ def _analyze_json(surface: ToricSurface, m: int) -> str:
     from one template per class, a span of singletons (i, s, l) from one
     template per (i, s) with l filled in; the equations per step of minus_walk
     as a zero run, the running product's text, the closing factor and a zero
-    run.  Each section replaces its placeholder string in the standard
-    encoder's text of the frame.  A step off that shape raises InputRangeError."""
+    run.  Both sections go in place of their placeholder strings in the
+    standard encoder's text of the frame, by one join of its slices.  A step
+    off that shape raises InputRangeError."""
     canon = '{\n        "canonical": [\n          %s,\n          %s,\n          %s\n        ],\n'
     member = "[\n            %s,\n            %s,\n            %s\n          ]"
     sep = ",\n          "
@@ -188,9 +189,16 @@ def _analyze_json(surface: ToricSurface, m: int) -> str:
             rows.append(
                 f"{head}{j}{mid}{run},\n        {a}{zeros[:11 * (e - j + 1)]}\n      ]\n    }}")
     text = _canonical_json(_analyze_frame(surface, dual_cf, "\0equations", comp))
-    # the encoder writes each placeholder as "\u0000...", once
-    text = text.replace('"\\u0000classes"', "[\n      " + ",\n      ".join(classes) + "\n    ]", 1)
-    return text.replace('"\\u0000equations"', "[\n    " + ",\n    ".join(rows) + "\n  ]", 1)
+    # the encoder writes each placeholder as "\u0000...", once, and sorted
+    # keys put components before equations
+    at_classes, at_equations = '"\\u0000classes"', '"\\u0000equations"'
+    lo = text.index(at_classes)
+    hi = text.index(at_equations, lo)
+    return "".join((
+        text[:lo], "[\n      ", ",\n      ".join(classes), "\n    ]",
+        text[lo + len(at_classes):hi], "[\n    ", ",\n    ".join(rows), "\n  ]",
+        text[hi + len(at_equations):],
+    ))
 
 
 def _analyze_md(doc: dict) -> str:

@@ -11,17 +11,22 @@ the first binomial that does not vanish.  It leaves an i as soon as degrees
 show that both sides of every binomial left for it truncate: the plus sides
 start at o_i + min(o_j, ..., o_e) or later and the minus sides at the
 running product's lowest degree plus min(o_(j-1), ..., o_e), o_l being the
-order of row l.  On a monomial arc this leaves a few steps per i.  That loop
-(_vanishes) also decides the oracle's fiber nodes.  The same walk, through
-_taylor, gives the coefficients and derivative series of the one linear
-system by which the oracle lifts member jets.
+order of row l.  On a monomial arc this leaves a few steps per i.  The
+steps come from a per-surface plan that keeps each step of minus_walk that
+some check has drawn, so repeated checks on one surface do not rebuild the
+walk and a single check draws no step it does not use.  That loop
+(_vanishes) also decides the oracle's fiber nodes, and contact_profile
+reads the orders from the same sparse rows it checks, in one pass.  The
+same walk, through _taylor, gives the coefficients and derivative series
+of the one linear system by which the oracle lifts member jets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, compress, tee
 
 from .equations import BinomialEquation, minus_walk
 from .errors import InputRangeError, NonMemberError
@@ -147,7 +152,7 @@ def coordinate_order(jet: TruncatedJet, j: int):
 
 def _sparse_rows(coords) -> list[tuple]:
     """Each coordinate as its nonzero (degree, coefficient) pairs, degree ascending."""
-    return [tuple((d, c) for d, c in enumerate(row) if c) for row in coords]
+    return [tuple(compress(enumerate(row), row)) for row in coords]
 
 
 _ONE = ((0, 1),)  # the constant series 1, a valid seed in every characteristic
@@ -229,12 +234,33 @@ def _derivatives_times_power(running, d_running: dict, row, g: int, b: int, n: i
     return out
 
 
+@lru_cache(maxsize=16)
+def _binomial_plan(surface: ToricSurface, walk) -> tuple:
+    """walk(surface) as (i, memo) per i, memo an itertools.tee of i's steps.
+
+    A check iterates a copy of each memo, never the memo itself: the copies
+    share one buffer, so a step any check has drawn is kept for the next,
+    and a check draws from walk only the steps past that buffer.  So the
+    membership calls on one surface do not restart minus_walk's generators,
+    and one check costs no step more than its loop uses.  Built once per
+    surface and walk function, in a cache bounded like that of
+    equations.generators.  walk is minus_walk as bound in this module when
+    the call is made: a replaced minus_walk gets a plan of its own.  A
+    generator that raises ends, and its tee would read it as ended from
+    then on, so _binomial_series empties the cache when an exception
+    passes through it.  tee is not thread-safe, and the package runs no
+    check from a second thread.
+    """
+    return tuple((i, tee(steps, 1)[0]) for i, steps in walk(surface))
+
+
 def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
     """Yield ((i, j), plus, minus, grad) per binomial, in minus_walk order.
 
     plus and minus are the sparse terms of the two monomials of binomial
     (i, j) along rows, past t^m dropped; rows are sparse as from
-    _sparse_rows.  For each i the minus monomials are one running product
+    _sparse_rows.  The steps come from the surface's _binomial_plan of
+    minus_walk.  For each i the minus monomials are one running product
     times one closing factor, so each binomial costs a bounded number of
     sparse products and the walk is O(e^2), not O(e^3); a running product
     that has truncated to zero stays zero for that i.  This is the one loop
@@ -260,41 +286,50 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
     derive = n >= 0
     orders = [row[0][0] if row else m + 1 for row in rows]
     tail = list(accumulate(reversed(orders), min))[::-1]
-    for i, steps in minus_walk(surface):
-        running = _ONE
-        low = 0
-        d_running: dict = {}
-        for j, grow, (k, a) in steps:
-            if grow:
-                g, b = grow
-                if derive:
-                    d_running = _derivatives_times_power(running, d_running, rows[g - 1], g - 1, b, n)
-                running = _times_power(running, rows[g - 1], b, m)
-                low += b * orders[g - 1]
-            if not derive and orders[i - 1] + tail[j - 1] > m and low + tail[j - 2] > m:
-                break
-            plus = _times_power(rows[i - 1], rows[j - 1], 1, m)
-            minus = _times_power(running, rows[k - 1], a, m)
-            if not derive:
-                if plus != minus:
-                    yield (i, j), plus, minus, {}
-                continue
-            d_minus = _derivatives_times_power(running, d_running, rows[k - 1], k - 1, a, n)
-            grad = {l: tuple((d, -c) for d, c in terms) for l, terms in d_minus.items()}
-            for l, other in ((i - 1, j - 1), (j - 1, i - 1)):
-                t = _through(rows[other], n)
-                if t:
-                    grad[l] = t
-            yield (i, j), plus, minus, grad
+    try:
+        for i, memo in _binomial_plan(surface, minus_walk):
+            running = _ONE
+            low = 0
+            d_running: dict = {}
+            for j, grow, (k, a) in memo.__copy__():
+                if grow:
+                    g, b = grow
+                    if derive:
+                        d_running = _derivatives_times_power(
+                            running, d_running, rows[g - 1], g - 1, b, n)
+                    running = _times_power(running, rows[g - 1], b, m)
+                    low += b * orders[g - 1]
+                if not derive and orders[i - 1] + tail[j - 1] > m and low + tail[j - 2] > m:
+                    break
+                plus = _times_power(rows[i - 1], rows[j - 1], 1, m)
+                minus = _times_power(running, rows[k - 1], a, m)
+                if not derive:
+                    if plus != minus:
+                        yield (i, j), plus, minus, {}
+                    continue
+                d_minus = _derivatives_times_power(running, d_running, rows[k - 1], k - 1, a, n)
+                grad = {l: tuple((d, -c) for d, c in terms) for l, terms in d_minus.items()}
+                for l, other in ((i - 1, j - 1), (j - 1, i - 1)):
+                    t = _through(rows[other], n)
+                    if t:
+                        grad[l] = t
+                yield (i, j), plus, minus, grad
+    except GeneratorExit:  # the consumer left early: the plan is intact
+        raise
+    except BaseException:
+        # an exception inside a draw (an interrupt, say) ends that i's
+        # generator, and the cached tee would read it as ended from then on
+        _binomial_plan.cache_clear()
+        raise
 
 
 def _vanishes(rows, m: int, surface: ToricSurface, is_zero) -> bool:
     """True iff every binomial vanishes along the sparse rows mod t^(m+1).
 
     Stops at the first binomial with a coefficient that is_zero rejects.
-    The one membership loop: is_member reads it, and so does the oracle's
-    residual test at each node of the fiber, where most rejected nodes fail
-    on the first binomial the walk yields.
+    The one membership loop: is_member and contact_profile read it, and so
+    does the oracle's residual test at each node of the fiber, where most
+    rejected nodes fail on the first binomial the walk yields.
     """
     for _, plus, minus, _ in _binomial_series(rows, m, surface):
         diff = dict(plus)
@@ -306,11 +341,16 @@ def _vanishes(rows, m: int, surface: ToricSurface, is_zero) -> bool:
     return True
 
 
-def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
-    """True iff every defining binomial vanishes along the jet mod t^(m+1)."""
+def _rows_on(jet: TruncatedJet, surface: ToricSurface) -> list[tuple]:
+    """The jet's sparse rows; raises InputRangeError unless it has e coordinates."""
     if jet.e != surface.e:
         raise InputRangeError(f"surface has {surface.e} coordinates, jet has {jet.e}")
-    return _vanishes(_sparse_rows(jet.coords), jet.m, surface, jet.field.is_zero)
+    return _sparse_rows(jet.coords)
+
+
+def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
+    """True iff every defining binomial vanishes along the jet mod t^(m+1)."""
+    return _vanishes(_rows_on(jet, surface), jet.m, surface, jet.field.is_zero)
 
 
 def _taylor(coords, m: int, n: int, surface: ToricSurface) -> dict:
@@ -388,10 +428,20 @@ def contact_profile(jet: TruncatedJet, surface: ToricSurface):
     Returns (profile, over_singular_point): the tuple of coordinate orders
     and True iff no order is 0, i.e. the jet starts at the singular point.
     Raises NonMemberError when the jet fails the surface equations: contact
-    loci only make sense inside the jet scheme.
+    loci only make sense inside the jet scheme.  One pass: the sparse rows
+    that the membership loop reads also give the orders, each the first
+    term that is_zero rejects, as coordinate_order reads it.
     """
-    if not is_member(jet, surface):
+    rows = _rows_on(jet, surface)
+    is_zero = jet.field.is_zero
+    if not _vanishes(rows, jet.m, surface, is_zero):
         raise NonMemberError("jet does not satisfy the surface equations")
-    profile = tuple(coordinate_order(jet, j) for j in range(1, jet.e + 1))
-    over = all(o is ABOVE_M or o >= 1 for o in profile)
-    return profile, over
+    profile = []
+    for row in rows:  # a plain loop: a generator per row would cost more
+        for d, c in row:
+            if not is_zero(c):
+                profile.append(d)
+                break
+        else:
+            profile.append(ABOVE_M)
+    return tuple(profile), 0 not in profile

@@ -366,29 +366,83 @@ def test_is_member_matches_evaluate_on_seeded_random_jets(family12):
     assert min(seen.values()) >= 20, seen
 
 
-@pytest.mark.parametrize("at", [(1, 4), (1, 5), (2, 6)])
-def test_is_member_rejects_a_wrong_grow_exponent(monkeypatch, family12, at):
-    # plant one grow factor off by one: some witness arc must fail the check
+def _plant_grow_off_by_one(monkeypatch, at):
+    """The grow factor of binomial at, one too high, in jets.minus_walk."""
     walk = jets.minus_walk
+
+    def bump(i, steps):  # i bound per call: the plan draws every i before any step
+        for j, grow, last in steps:
+            yield j, (grow[0], grow[1] + 1) if (i, j) == at else grow, last
 
     def planted(surface):
         for i, steps in walk(surface):
-            yield i, ((j, (grow[0], grow[1] + 1) if (i, j) == at else grow, last)
-                      for j, grow, last in steps)
+            yield i, bump(i, steps)
 
     monkeypatch.setattr(jets, "minus_walk", planted)
+
+
+@pytest.mark.parametrize("at", [(1, 4), (1, 5), (2, 6)])
+def test_is_member_rejects_a_wrong_grow_exponent(monkeypatch, family12, at):
+    # plant one grow factor off by one: some witness arc must fail the check
+    _plant_grow_off_by_one(monkeypatch, at)
     arcs = [(surf, arc) for surf in family12 if surf.e >= at[1]
             for arc in _witness_arcs(surf, 12)]
     assert arcs
     assert not all(is_member(arc, surf) for surf, arc in arcs)
 
 
+def test_a_plan_built_before_a_plant_does_not_hide_it(monkeypatch, family12):
+    # each surface's binomial plan is built and cached by unplanted checks
+    # of its witness arcs; the same plant must then still fail some arc
+    caught = 0
+    for surf in family12:
+        arcs = list(_witness_arcs(surf, 12))
+        assert all(is_member(arc, surf) for arc in arcs)
+        with monkeypatch.context() as planted:
+            _plant_grow_off_by_one(planted, (1, 4))
+            caught += not all(is_member(arc, surf) for arc in arcs)
+    assert caught
+
+
+def test_a_draw_that_raises_leaves_no_cut_plan(monkeypatch, family12):
+    # an exception inside a draw (an interrupt, say) ends that i's step
+    # generator; the next check on the surface must walk i = 1 in full, not
+    # read the ended generator as an i = 1 with no binomials
+    walk, raised = jets.minus_walk, []
+
+    def once(i, steps):
+        for step in steps:
+            if i == 1 and not raised:
+                raised.append(step)
+                raise RuntimeError("interrupted draw")
+            yield step
+
+    def flaky(surface):
+        for i, steps in walk(surface):
+            yield i, once(i, steps)
+
+    def doubled_x1(arc):  # x_1 enters only the binomials (1, j)
+        rows = [list(row) for row in arc.coords]
+        rows[0] = [2 * c for c in rows[0]]
+        return TruncatedJet(arc.field, arc.m, rows)
+
+    surf, jet = next((surf, doubled_x1(arc)) for surf in family12
+                     for arc in _witness_arcs(surf, 6)
+                     if not _member_by_evaluate(doubled_x1(arc), surf))
+    monkeypatch.setattr(jets, "minus_walk", flaky)
+    with pytest.raises(RuntimeError):
+        is_member(jet, surf)
+    assert raised and not is_member(jet, surf)
+
+
 def _check_is_member_on_wide_surfaces(seed):
-    """is_member against evaluate on seeded surfaces with q up to 10^4, over
-    F_2..F_7 at m = 2..4: the monomial arc of a random valid label (a
-    member), the same arc moved by a random torus element, which scales
-    x_j by l_1^(a_j) l_2^(b_j) for u_j = (a_j, b_j) (a member), that one with
-    a random term added, and rows that are zero below a random order."""
+    """is_member against evaluate, and contact_profile against
+    coordinate_order, on seeded surfaces with q up to 10^4, over F_2..F_7 at
+    m = 2..4: the monomial arc of a random valid label (a member), the same
+    arc moved by a random torus element, which scales x_j by
+    l_1^(a_j) l_2^(b_j) for u_j = (a_j, b_j) (a member), that one with a
+    random term added, and rows that are zero below a random order, with
+    unreduced residues."""
     rng = random.Random(seed)
     seen = {True: 0, False: 0}
     surfaces = random_wide_surfaces(rng, 50, 16)  # evaluate costs O(e^3) per member jet
@@ -417,6 +471,14 @@ def _check_is_member_on_wide_surfaces(seed):
             want = _member_by_evaluate(jet, surf)
             assert is_member(jet, surf) == want, (surf.p, surf.q, ch, rows)
             seen[want] += 1
+            # contact_profile reads its orders from the membership loop's rows
+            if want:
+                profile = tuple(coordinate_order(jet, j) for j in range(1, surf.e + 1))
+                over = all(o is ABOVE_M or o >= 1 for o in profile)
+                assert contact_profile(jet, surf) == (profile, over), (surf.p, surf.q, ch, rows)
+            else:
+                with pytest.raises(NonMemberError):
+                    contact_profile(jet, surf)
     assert max(surf.q for surf in surfaces) > 5000 and max(surf.e for surf in surfaces) >= 10
     assert min(seen.values()) >= 60, seen
 
@@ -429,9 +491,13 @@ def test_wide_surface_check_catches_a_wrong_end_exponent(monkeypatch):
     # x_i x_(i+2) = x_(i+1)^(c_(i+1) + 1) in the membership loop alone
     walk = jets.minus_walk
 
+    def bump(i, steps):  # i bound per call: the plan draws every i before any step
+        for j, grow, (k, a) in steps:
+            yield j, grow, (k, a + (j == i + 2))
+
     def planted(surface):
         for i, steps in walk(surface):
-            yield i, ((j, grow, (k, a + (j == i + 2))) for j, grow, (k, a) in steps)
+            yield i, bump(i, steps)
 
     monkeypatch.setattr(jets, "minus_walk", planted)
     with pytest.raises(AssertionError):
@@ -599,7 +665,10 @@ def _expected_steps(surf, arc):
 ])
 def test_membership_loop_leaves_each_i_at_its_first_degree_bound(monkeypatch, entries, m, label, steps):
     # on a monomial arc every i is left at the first step whose degree
-    # bounds hold, counted on the steps the loop draws from minus_walk
+    # bounds hold, counted on the steps the loop draws from minus_walk; the
+    # spy is a new walk function, so the check starts from an empty plan,
+    # and later checks on the surface, one of them left early, draw no step
+    # from minus_walk again
     q, p = hj_evaluate(list(entries))
     surf = ToricSurface.from_pair(p, q)
     arc = monomial_arc(surf, contact_vector(surf, *label)[0], m)
@@ -612,6 +681,11 @@ def test_membership_loop_leaves_each_i_at_its_first_degree_bound(monkeypatch, en
     monkeypatch.setattr(jets, "minus_walk", spy)
     assert is_member(arc, surf)
     assert len(drawn) == _expected_steps(surf, arc) == steps < len(generators(surf))
+    rows = [list(row) for row in arc.coords]
+    rows[label[0] - 1] = [2 * c for c in rows[label[0] - 1]]
+    assert not is_member(TruncatedJet(arc.field, m, rows), surf)
+    assert is_member(arc, surf) and contact_profile(arc, surf)
+    assert len(drawn) == steps
 
 
 def test_contact_profile_reads_orders_through_the_field():
