@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every error carries a short stable code so callers (and the command line
-front end) can tell failure kinds apart without parsing messages.
+Each failure kind is its own subclass of ToricJetsError, and callers tell
+kinds apart by class without parsing messages: the command line front end
+(cli.main) exits with 3 on GuardExceededError and with 2 on any other
+ToricJetsError.  Every error also carries a short stable code.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ some check has drawn, so repeated checks on one surface do not rebuild the
 walk and a single check draws no step it does not use.  That loop
 (_vanishes) also decides the oracle's fiber nodes, and contact_profile
 reads the orders from the same sparse rows it checks, in one pass.  The
-same walk, through _taylor, gives the coefficients and derivative series
-of the one linear system by which the oracle lifts member jets.
+same walk gives oracle._upper_system the coefficients and derivative
+series of the one linear system by which the oracle lifts member jets.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import accumulate, compress, tee
 
 from .equations import BinomialEquation, minus_walk
 from .errors import InputRangeError, NonMemberError
-from .lattice import ToricSurface, cone_contains
+from .lattice import ToricSurface, cone_contains, lattice_point
 
 
 class _AboveM:
@@ -82,10 +82,17 @@ class CoefficientField:
         return x == 0
 
     def normalize(self, x):
-        """Canonical representative: a reduced Fraction, or an int in 0..p-1."""
-        if self.characteristic:
-            return int(x) % self.characteristic
-        return Fraction(x)
+        """Canonical representative of an int or Fraction: a reduced Fraction,
+        or an int in 0..p-1, a/b going to a b^(-1) mod p.  Raises
+        InputRangeError for any other type and when p divides b."""
+        if not isinstance(x, (int, Fraction)):
+            raise InputRangeError(f"coefficients must be ints or Fractions, got {x!r}")
+        p = self.characteristic
+        if not p:
+            return Fraction(x)
+        if x.denominator % p == 0:
+            raise InputRangeError(f"{x} has no value in F_{p}: {p} divides its denominator")
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def elements(self):
         """All field elements, finite characteristic only."""
@@ -264,7 +271,7 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
     times one closing factor, so each binomial costs a bounded number of
     sparse products and the walk is O(e^2), not O(e^3); a running product
     that has truncated to zero stays zero for that i.  This is the one loop
-    over the binomials: _vanishes and _taylor both read it.
+    over the binomials: _vanishes and oracle._upper_system both read it.
 
     With n < 0, the membership test's mode, a binomial whose sides have
     equal term lists vanishes without any reduction and is skipped, and grad
@@ -353,34 +360,6 @@ def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
     return _vanishes(_rows_on(jet, surface), jet.m, surface, jet.field.is_zero)
 
 
-def _taylor(coords, m: int, n: int, surface: ToricSurface) -> dict:
-    """(i, j) -> (value, grad): each binomial's series along coords and its
-    derivative series.
-
-    value[d] is the t^d coefficient of the binomial along coords for d <= m,
-    and grad[d][l] the t^d coefficient of its derivative by x_(l+1) along
-    coords for d <= n, with 0 <= n <= m.  Every binomial is a key.  Rows
-    may stop below t^m; missing coefficients are zero, and values are
-    unreduced, as from evaluate.  These are the terms of the Taylor
-    expansion: for y of order o >= 1, f(x + y) = f(x) + sum_l df/dx_l(x) y_l
-    modulo t^(2o), every monomial of a binomial having degree >= 2.
-    """
-    e = len(coords)
-    out = {}
-    for ij, plus, minus, grads in _binomial_series(_sparse_rows(coords), m, surface, n):
-        value = [0] * (m + 1)
-        for d, c in plus:
-            value[d] += c
-        for d, c in minus:
-            value[d] -= c
-        grad = [[0] * e for _ in range(n + 1)]
-        for l, terms in grads.items():
-            for d, c in terms:
-                grad[d][l] += c
-        out[ij] = value, grad
-    return out
-
-
 def truncate(jet: TruncatedJet, m_target: int) -> TruncatedJet:
     """Drop all coefficients above t^m_target; membership survives truncation."""
     if m_target > jet.m:
@@ -405,7 +384,7 @@ def monomial_arc(
     """
     if m < 0:
         raise InputRangeError(f"jet level must be >= 0, got {m}")
-    v = (int(v[0]), int(v[1]))
+    v = lattice_point(v)
     if not cone_contains(surface.cone, v):
         raise InputRangeError(
             f"v={v} is outside the cone of (p, q) = ({surface.p}, {surface.q})"

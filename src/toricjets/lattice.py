@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
+from operator import index
 
 from .errors import CoprimalityError, EmbeddingDimensionError, InputRangeError
 
@@ -26,6 +27,15 @@ def _dot(a: Vec, b: Vec) -> int:
 
 def _cross(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
+
+
+def lattice_point(v) -> Vec:
+    """v as a pair of ints; raises InputRangeError unless both entries are
+    integers (operator.index accepts int, bool and integer types alone)."""
+    try:
+        return index(v[0]), index(v[1])
+    except TypeError:
+        raise InputRangeError(f"a lattice point needs integer entries, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -203,7 +213,7 @@ def cone_contains(cone: ConePair, v) -> bool:
     beta = v_2 / q and alpha = v_1 - p v_2 / q; clearing the positive
     denominator q turns both sign conditions into integer comparisons.
     """
-    x, y = int(v[0]), int(v[1])
+    x, y = lattice_point(v)
     return y >= 0 and cone.q * x - cone.p * y >= 0
 
 
@@ -322,4 +332,4 @@ class ToricSurface:
 
     def pairing(self, i: int, v) -> int:
         """The pairing <u_i, v>."""
-        return _dot(self.u(i), (int(v[0]), int(v[1])))
+        return _dot(self.u(i), lattice_point(v))

@@ -41,7 +41,9 @@ from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
 from .errors import GuardExceededError, InputRangeError, NonMemberError
-from .jets import ABOVE_M, TruncatedJet, _sparse_rows, _taylor, _vanishes, is_member, prime_field
+from .jets import (
+    ABOVE_M, TruncatedJet, _binomial_series, _sparse_rows, _vanishes, is_member, prime_field,
+)
 from .lattice import ToricSurface
 
 DEFAULT_GUARD = 1 << 26
@@ -160,16 +162,24 @@ def _upper_system(surface: ToricSurface, rows, u: int, m: int, p: int) -> list:
     df/dx_(l+1): the Taylor expansion, since a product of two upper layers
     lands at t^(2h+2) or above.  The layers u+1..m would enter only through
     D_0, so u < m is for rows over the origin, where D_0 = 0 and those
-    layers are free.  Entries are reduced mod p.
+    layers are free.  The sparse terms of each binomial go straight into
+    its block of m - h equations: a term (d, c) of either side with d > h
+    into b at t^d, one of df/dx_(l+1) into unknown (g - h - 1) e + l at
+    t^(g+d).  Entries are reduced mod p.
     """
     e, h = surface.e, len(rows[0]) - 1
     system = []
-    for value, grad in _taylor(rows, m, m - h - 1, surface).values():
-        for k in range(h + 1, m + 1):
-            row = [0] * (e * (u - h)) + [-value[k] % p]
-            for g in range(h + 1, min(k, u) + 1):
-                row[(g - h - 1) * e:(g - h) * e] = [c % p for c in grad[k - g]]
-            system.append(row)
+    for _, plus, minus, grad in _binomial_series(_sparse_rows(rows), m, surface, m - h - 1):
+        block = [[0] * (e * (u - h) + 1) for _ in range(h, m)]  # block[k - h - 1] is at t^k
+        for terms, sign in ((plus, -1), (minus, 1)):
+            for d, c in terms:
+                if d > h:
+                    block[d - h - 1][-1] += sign * c
+        for l, terms in grad.items():
+            for d, c in terms:
+                for g in range(h + 1, min(m - d, u) + 1):
+                    block[g + d - h - 1][(g - h - 1) * e + l] += c
+        system.extend([x % p for x in row] for row in block)
     return system
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from toricjets import EmbeddingDimensionError, ToricSurface
+from toricjets import EmbeddingDimensionError, ToricSurface, oracle
 
 
 def coprime_family(qmax):
@@ -35,6 +35,20 @@ def random_wide_surfaces(rng, count, emax):
         if surf.e <= emax:
             out.append(surf)
     return out
+
+
+def plant_in_series(monkeypatch, edit):
+    """Every ((i, j), plus, minus, grad) that oracle._binomial_series yields
+    goes through edit, as edit(plus, minus, grad), before _upper_system
+    takes its terms into the Taylor system.  jets._vanishes keeps its own
+    binding, so membership is untouched."""
+    real = oracle._binomial_series
+
+    def planted(rows, m, surface, n=-1):
+        for ij, plus, minus, grad in real(rows, m, surface, n):
+            yield (ij, *edit(plus, minus, grad))
+
+    monkeypatch.setattr(oracle, "_binomial_series", planted)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from toricjets import ABOVE_M, ToricSurface, cli, components, equations, hj_eval
 from toricjets.cli import _analyze_doc, _canonical_json, main
 from toricjets.components import class_runs
 from toricjets.equations import minus_walk
-from conftest import coprime_family
+from conftest import coprime_family, plant_in_series
 import test_components
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -517,17 +517,6 @@ def test_no_impossible_profiles_catches_one(capsys, monkeypatch):
     assert doc["coverage"]["impossible"] == 1
 
 
-def _plant_in_taylor(monkeypatch, edit):
-    """Every (value, grad) of oracle._taylor goes through edit before it is
-    read: the residual series and the derivative series of the binomials."""
-    real = oracle._taylor
-
-    def planted(coords, m, n, surface):
-        return {ij: edit(value, grad) for ij, (value, grad) in real(coords, m, n, surface).items()}
-
-    monkeypatch.setattr(oracle, "_taylor", planted)
-
-
 def _propagation_status(capsys, p, q, m):
     code, out, _ = _run(capsys, ["verify", "--p", str(p), "--q", str(q), "--m", str(m),
                                  "--field", "2", "--format", "json"])
@@ -541,8 +530,8 @@ def test_order_propagation_s2_catches_a_dropped_top_residual(capsys, monkeypatch
     # r_k + sum over g < k of D_(k-g) a_g, is dropped: every layer solves
     # J(x_0) a_k = 0 as if it had no residual, so every candidate at level 1
     # with a tangent direction along its pair seems to have members above it
-    _plant_in_taylor(monkeypatch, lambda value, grad: (
-        [0] * len(value), grad[:1] + [[0] * len(g) for g in grad[1:]]))
+    plant_in_series(monkeypatch, lambda plus, minus, grad: (
+        (), (), {l: [(d, c) for d, c in terms if d < 1] for l, terms in grad.items()}))
     code, status = _propagation_status(capsys, p, q, 3)
     assert code == 1
     assert status["order_propagation_s2"] == "fail"
@@ -553,7 +542,7 @@ def test_order_propagation_s2_catches_a_dropped_top_residual(capsys, monkeypatch
 def test_order_propagation_s1_catches_a_void_tangent_condition(capsys, monkeypatch):
     # every constant layer treated as the origin, D_0 = J = 0: a member with
     # a unit coordinate gets all p^e first-order layers
-    _plant_in_taylor(monkeypatch, lambda value, grad: (value, [[0] * len(g) for g in grad]))
+    plant_in_series(monkeypatch, lambda plus, minus, grad: (plus, minus, {}))
     code, status = _propagation_status(capsys, 2, 3, 1)
     assert code == 1
     assert status["order_propagation_s1"] == "fail"

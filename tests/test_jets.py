@@ -53,6 +53,21 @@ def test_field_normalize_and_elements():
         RATIONALS.elements()
 
 
+def test_field_normalize_reduces_a_fraction_through_its_inverse():
+    f3 = prime_field(3)
+    assert f3.normalize(Fraction(1, 2)) == 2  # 2 * 2 = 1 in F_3
+    assert f3.normalize(Fraction(3, 2)) == 0
+    assert f3.normalize(Fraction(-5, 4)) == 1
+    assert TruncatedJet.build(f3, 1, [[Fraction(1, 2), Fraction(3, 2)]]).coords == ((2, 0),)
+    for bad in (Fraction(1, 3), 2.7, 2.0, "1"):
+        with pytest.raises(InputRangeError):
+            f3.normalize(bad)
+    with pytest.raises(InputRangeError):
+        TruncatedJet.build(f3, 0, [[2.7]])
+    with pytest.raises(InputRangeError):
+        RATIONALS.normalize(0.5)
+
+
 def test_jet_construction_validation():
     f = prime_field(3)
     with pytest.raises(InputRangeError):
@@ -147,6 +162,8 @@ def test_monomial_arc_validation():
         monomial_arc(surf, (1, 2), 4)  # outside the cone
     with pytest.raises(InputRangeError):
         monomial_arc(surf, (1, 1), -1)
+    with pytest.raises(InputRangeError):
+        monomial_arc(surf, (1.5, 1), 4)  # not the arc of (1, 1)
 
 
 def test_monomial_arc_over_prime_field():

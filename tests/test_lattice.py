@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from toricjets import (
     hj_evaluate,
     hj_expand,
 )
+from toricjets.lattice import lattice_point
 
 
 def test_hj_expand_frozen():
@@ -167,6 +169,16 @@ def test_cone_contains():
     assert not cone_contains(cone, (1, 2))  # above the (3,5) ray
     assert not cone_contains(cone, (-1, 0))
     assert not cone_contains(cone, (0, -1))
+
+
+def test_lattice_points_must_be_integral():
+    surf = ToricSurface.from_pair(3, 5)
+    assert lattice_point((True, 2)) == (1, 2)
+    for v in ((1.5, 1), (1.9, 1), (1, 1.0), (Fraction(1), 1)):
+        with pytest.raises(InputRangeError):
+            cone_contains(surf.cone, v)
+        with pytest.raises(InputRangeError):
+            surf.pairing(3, v)
 
 
 def test_contact_vector_frozen():

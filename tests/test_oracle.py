@@ -22,6 +22,7 @@ from toricjets import (
     prime_field,
     required_budget,
 )
+from conftest import plant_in_series
 
 
 def test_config_validation():
@@ -252,17 +253,9 @@ def test_origin_shortcut_matches_per_child_lift(p, q, ch, mtop):
 
 
 def _plant_void_derivative_term(monkeypatch, d):
-    """The t^d term of every derivative series reads zero."""
-    real = oracle._taylor
-
-    def planted(coords, m, n, surface):
-        series = real(coords, m, n, surface)
-        for _, grad in series.values():
-            if d < len(grad):
-                grad[d] = [0] * len(grad[d])
-        return series
-
-    monkeypatch.setattr(oracle, "_taylor", planted)
+    """The t^d term of every derivative series is dropped."""
+    plant_in_series(monkeypatch, lambda plus, minus, grad: (plus, minus, {
+        l: [(k, c) for k, c in terms if k != d] for l, terms in grad.items()}))
 
 
 def test_shortcut_check_catches_a_shortcut_off_the_origin(monkeypatch):
@@ -270,6 +263,24 @@ def test_shortcut_check_catches_a_shortcut_off_the_origin(monkeypatch):
     _plant_void_derivative_term(monkeypatch, 0)
     with pytest.raises(AssertionError):
         _check_shortcut_against_per_child(19, 30, 2, 2)
+
+
+@pytest.mark.parametrize("p,q", [(5, 12), (5, 7)])
+def test_shortcut_check_catches_a_residual_of_the_wrong_sign(monkeypatch, p, q):
+    # b = plus - minus in place of minus - plus.  Over F_2, -1 = 1, and the
+    # F_5 cell stops at m = 1, where no residual along a constant layer is
+    # nonzero, so only the F_3 cells can see this fault
+    plant_in_series(monkeypatch, lambda plus, minus, grad: (minus, plus, grad))
+    with pytest.raises(AssertionError):
+        _check_shortcut_against_per_child(p, q, 3, 2)
+
+
+def test_shortcut_check_catches_a_derivative_term_one_equation_too_high(monkeypatch):
+    # D_d read at t^(g+d+1) in place of t^(g+d)
+    plant_in_series(monkeypatch, lambda plus, minus, grad: (plus, minus, {
+        l: [(d + 1, c) for d, c in terms] for l, terms in grad.items()}))
+    with pytest.raises(AssertionError):
+        _check_shortcut_against_per_child(7, 9, 2, 3)
 
 
 def test_per_child_check_catches_a_pivot_used_as_its_own_inverse(monkeypatch):
@@ -527,7 +538,7 @@ def test_profile_counts_match_the_listing(p, q, ch, m):
 
 def _plant_after_listing(monkeypatch, plant):
     """Run plant once enumerate_fiber has listed the fiber: the listing
-    shares _taylor and the system with the counts, so a fault planted
+    shares _upper_system with the counts, so a fault planted
     before it would leave both sides equally wrong."""
     real = oracle.enumerate_fiber
 
