@@ -5,10 +5,10 @@ verify drives the symbolic invariant suite and the finite-field oracle;
 witness produces an explicit arc realizing a prescribed contact label.
 Each command builds one document, printed as json (the standard encoder
 with sorted keys and two-space indent), md (default) or csv (fixed header
-per subcommand), the last two from the document alone.  analyze's json
-builds no document: its equations (from minus_walk) and classes (from the
-gluing scan class_runs) are written as text and placed into the standard
-encoder's text of the rest.
+per subcommand), the last two from the document alone; witness adds its
+jet's coefficients for json only.  analyze's json builds no document: its
+equations (from minus_walk) and classes (from the gluing scan class_runs)
+are written as text and placed into the standard encoder's text of the rest.
 
 main builds one parser, for the named command alone; the full tree of all
 three commands only when the first argument names no command.
@@ -414,7 +414,7 @@ def _witness_doc(surface: ToricSurface, args) -> dict:
     v, inside = contact_vector(surface, i, s, l)
     arc = monomial_arc(surface, v, m)
     profile, over = contact_profile(arc, surface)
-    return {
+    doc = {
         "p": surface.p,
         "q": surface.q,
         "m": m,
@@ -424,16 +424,17 @@ def _witness_doc(surface: ToricSurface, args) -> dict:
         "v": list(v),
         "inside": inside,
         "member": True,
-        # a monomial arc over the rationals: every coefficient is 0 or 1
-        "jet": {
-            "m": arc.m,
-            "characteristic": arc.field.characteristic,
-            "coords": [[f"{c}/1" for c in row] for row in arc.coords],
-        },
         "orders": [_order_json(o) for o in profile],
         "realized": [_order_json(profile[i - 1]), _order_json(profile[i])],
         "over_origin": over,
     }
+    if args.format == "json":  # the arc's rational coefficients; md and csv print orders
+        coords = [["0/1"] * (m + 1) for _ in arc.terms]
+        for row, terms in zip(coords, arc.terms):
+            for d, c in terms:
+                row[d] = f"{c}/1"
+        doc["jet"] = {"m": m, "characteristic": arc.field.characteristic, "coords": coords}
+    return doc
 
 
 def _power_str(d) -> str:

@@ -1,9 +1,10 @@
 """Truncated power-series jets over exact coefficient fields.
 
-A jet of level m holds e coordinate series, each as the m+1 coefficients of
-1, t, ..., t^m.  Coefficients are exact rationals or prime-field integers;
-products are truncated convolutions computed on the sparse support, which
-makes monomial arcs (single-term coordinates) cheap to test for membership.
+A jet of level m holds e coordinate series, each as its sparse row of
+(degree, coefficient) pairs up to t^m; the dense m+1 coefficients are built
+only when read, so a monomial arc costs O(e) at any m.  Coefficients are
+exact rationals or prime-field integers; products are truncated
+convolutions computed on the sparse rows.
 Membership walks the binomials of equations.minus_walk: for a fixed i the
 minus monomials are one running product, grown by one factor per equation,
 so a check costs O(e^2) sparse products rather than O(e^3), and it stops at
@@ -26,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, tee
+from itertools import accumulate, chain, compress, repeat, tee
+from operator import attrgetter
 
 from .equations import BinomialEquation, minus_walk
 from .errors import InputRangeError, NonMemberError
@@ -111,39 +113,71 @@ def prime_field(p: int) -> CoefficientField:
     return CoefficientField(p)
 
 
-@dataclass(frozen=True)
 class TruncatedJet:
-    """e coordinate series, each stored as m+1 coefficients.
+    """e coordinate series truncated past t^m: terms, each coordinate's
+    nonzero (degree, coefficient) pairs in ascending degree, and coords, the
+    dense view of m+1 coefficients each.  The constructor takes dense rows
+    of ints or Fractions standing for field elements (build() normalizes
+    them first), _from_terms unchecked sparse rows; the other view is built
+    on first read and kept.  Equality and hashing read terms, however the
+    jet was built; orders and membership read residues through is_zero."""
 
-    The direct constructor accepts any ring representatives of the intended
-    field elements (ints stand in for both rationals and residues); build()
-    normalizes into the field first.  Orders and membership go through
-    field.is_zero, so unreduced residues are interpreted correctly.
-    """
+    __slots__ = ("_field", "_m", "_coords", "_terms")
+    _COEFFICIENT_TYPES = frozenset((int, bool, Fraction))
 
-    field: CoefficientField
-    m: int
-    coords: tuple[tuple, ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise InputRangeError(f"jet level must be >= 0, got {self.m}")
-        coords = tuple(tuple(row) for row in self.coords)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, field: CoefficientField, m: int, coords) -> None:
+        if m < 0:
+            raise InputRangeError(f"jet level must be >= 0, got {m}")
+        coords = tuple(map(tuple, coords))
         for row in coords:
-            if len(row) != self.m + 1:
+            if len(row) != m + 1:
                 raise InputRangeError(
-                    f"every coordinate needs m+1 = {self.m + 1} coefficients, got {len(row)}"
+                    f"every coordinate needs m+1 = {m + 1} coefficients, got {len(row)}"
                 )
+        if not self._COEFFICIENT_TYPES.issuperset(map(type, chain.from_iterable(coords))):
+            bad = set(map(type, chain.from_iterable(coords))) - self._COEFFICIENT_TYPES
+            raise InputRangeError(f"coefficients must be ints or Fractions, got {bad}")
+        self._field, self._m, self._coords, self._terms = field, m, coords, None
+
+    @classmethod
+    def _from_terms(cls, field: CoefficientField, m: int, terms) -> "TruncatedJet":
+        jet = object.__new__(cls)
+        jet._field, jet._m, jet._coords, jet._terms = field, m, None, terms
+        return jet
 
     @classmethod
     def build(cls, field: CoefficientField, m: int, coords) -> "TruncatedJet":
         rows = tuple(tuple(field.normalize(c) for c in row) for row in coords)
         return cls(field, m, rows)
 
+    field = property(attrgetter("_field"))  # read-only, as the hash reads them
+    m = property(attrgetter("_m"))
+    e = property(lambda self: len(self.terms))
+
     @property
-    def e(self) -> int:
-        return len(self.coords)
+    def terms(self) -> tuple[tuple, ...]:
+        if self._terms is None:
+            self._terms = _sparse_rows(self._coords)
+        return self._terms
+
+    @property
+    def coords(self) -> tuple[tuple, ...]:
+        if self._coords is None:
+            degrees = range(self._m + 1)
+            self._coords = tuple(
+                tuple(map(dict(terms).get, degrees, repeat(0))) for terms in self._terms)
+        return self._coords
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedJet):
+            return NotImplemented
+        return (self.field, self.m, self.terms) == (other.field, other.m, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.m, self.terms))
+
+    def __repr__(self) -> str:
+        return f"TruncatedJet(field={self.field!r}, m={self.m!r}, coords={self.coords!r})"
 
 
 def coordinate_order(jet: TruncatedJet, j: int):
@@ -151,15 +185,15 @@ def coordinate_order(jet: TruncatedJet, j: int):
     if not 1 <= j <= jet.e:
         raise InputRangeError(f"coordinate index must be in 1..{jet.e}, got {j}")
     is_zero = jet.field.is_zero
-    for b, c in enumerate(jet.coords[j - 1]):
-        if c and not is_zero(c):
-            return b
+    for d, c in jet.terms[j - 1]:
+        if not is_zero(c):
+            return d
     return ABOVE_M
 
 
-def _sparse_rows(coords) -> list[tuple]:
+def _sparse_rows(coords) -> tuple[tuple, ...]:
     """Each coordinate as its nonzero (degree, coefficient) pairs, degree ascending."""
-    return [tuple(compress(enumerate(row), row)) for row in coords]
+    return tuple(tuple(compress(enumerate(row), row)) for row in coords)
 
 
 _ONE = ((0, 1),)  # the constant series 1, a valid seed in every characteristic
@@ -207,11 +241,10 @@ def evaluate(eq: BinomialEquation, jet: TruncatedJet) -> tuple:
             f"equation has {len(eq.plus_exponents)} variables, jet has {jet.e}"
         )
     m = jet.m
-    rows = _sparse_rows(jet.coords)
     out = [0] * (m + 1)
     for sign, exponents in ((1, eq.plus_exponents), (-1, eq.minus_exponents)):
         acc = _ONE
-        for row, a in zip(rows, exponents):
+        for row, a in zip(jet.terms, exponents):
             acc = _times_power(acc, row, a, m)
         for d, c in acc:
             out[d] += sign * c
@@ -348,11 +381,11 @@ def _vanishes(rows, m: int, surface: ToricSurface, is_zero) -> bool:
     return True
 
 
-def _rows_on(jet: TruncatedJet, surface: ToricSurface) -> list[tuple]:
+def _rows_on(jet: TruncatedJet, surface: ToricSurface) -> tuple[tuple, ...]:
     """The jet's sparse rows; raises InputRangeError unless it has e coordinates."""
     if jet.e != surface.e:
         raise InputRangeError(f"surface has {surface.e} coordinates, jet has {jet.e}")
-    return _sparse_rows(jet.coords)
+    return jet.terms
 
 
 def is_member(jet: TruncatedJet, surface: ToricSurface) -> bool:
@@ -368,8 +401,8 @@ def truncate(jet: TruncatedJet, m_target: int) -> TruncatedJet:
         )
     if m_target < 0:
         raise InputRangeError(f"target level must be >= 0, got {m_target}")
-    rows = tuple(row[: m_target + 1] for row in jet.coords)
-    return TruncatedJet(jet.field, m_target, rows)
+    rows = tuple(_through(terms, m_target) for terms in jet.terms)
+    return TruncatedJet._from_terms(jet.field, m_target, rows)
 
 
 def monomial_arc(
@@ -389,16 +422,10 @@ def monomial_arc(
         raise InputRangeError(
             f"v={v} is outside the cone of (p, q) = ({surface.p}, {surface.q})"
         )
-    rows = []
-    for u in surface.basis:
-        d = u[0] * v[0] + u[1] * v[1]
-        # int 0/1 are valid representatives in every characteristic and keep
-        # the witness suite on native integer arithmetic
-        row = [0] * (m + 1)
-        if d <= m:
-            row[d] = 1
-        rows.append(tuple(row))
-    return TruncatedJet(field, m, tuple(rows))
+    # the int 1 is 1 in every characteristic and keeps witness on native ints
+    x, y = v
+    rows = tuple(((d, 1),) if (d := a * x + b * y) <= m else () for a, b in surface.basis)
+    return TruncatedJet._from_terms(field, m, rows)
 
 
 def contact_profile(jet: TruncatedJet, surface: ToricSurface):

@@ -225,6 +225,8 @@ def contact_vector(surface: "ToricSurface", i: int, s: int, l: int) -> tuple[Vec
     inside = cone_contains(v); inside is guaranteed whenever
     s <= l <= (c_i - 1) s.
     """
+    if not type(i) is type(s) is type(l) is int:
+        raise InputRangeError(f"i, s and l must be integers, got {i!r}, {s!r}, {l!r}")
     e = surface.e
     if not 2 <= i <= e - 1:
         raise InputRangeError(f"i must be in 2..{e - 1}, got {i}")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from toricjets import ABOVE_M, ToricSurface, cli, components, equations, hj_evaluate, oracle
+from toricjets import ABOVE_M, ToricSurface, cli, components, equations, hj_evaluate, jets, oracle
 from toricjets.cli import _analyze_doc, _canonical_json, main
 from toricjets.components import class_runs
 from toricjets.equations import minus_walk
@@ -323,6 +323,25 @@ def test_witness_csv(capsys):
     assert lines[0] == ("p,q,m,i,s,l,v1,v2,inside,member,orders,"
                         "realized_s,realized_l")
     assert lines[1] == "3,5,4,3,1,2,1,1,yes,yes,1;1;1;2,1,2"
+
+
+@pytest.mark.parametrize("fmt,line", [
+    ("md", "- orders: 1, 1, 1, 2"),
+    ("csv", "3,5,10000000,2,1,1,1,1,yes,yes,1;1;1;2,1,1"),
+])
+def test_witness_md_and_csv_build_no_dense_rows(capsys, monkeypatch, fmt, line):
+    # md and csv print the orders alone: at m = 10^7 a dense row would hold
+    # 10^7 coefficients, and the spy fails the test if one is built
+    def dense(jet):
+        pytest.fail("witness built the dense coefficient rows")
+
+    monkeypatch.setattr(jets.TruncatedJet, "coords", property(dense))
+    with pytest.raises(pytest.fail.Exception):  # the spy is live
+        jets.monomial_arc(ToricSurface.from_pair(3, 5), (1, 1), 4).coords
+    code, out, err = _run(capsys, ["witness", "--p", "3", "--q", "5", "--m", "10000000",
+                                   "--i", "2", "--s", "1", "--l", "1", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
 
 
 def test_witness_rejects_l_outside_cap(capsys):

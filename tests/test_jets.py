@@ -79,6 +79,19 @@ def test_jet_construction_validation():
     assert jet.e == 2
 
 
+def test_direct_constructor_rejects_inexact_coefficients():
+    # both sides of every binomial have equal term lists on this jet, so a
+    # float that got past the constructor would pass is_member
+    for bad in (0.5, 1.0, "1", None):
+        with pytest.raises(InputRangeError, match="ints or Fractions"):
+            TruncatedJet(prime_field(3), 1, ((0, bad),) * 4)
+    jet = TruncatedJet(prime_field(3), 1, ((0, Fraction(1, 2)), (0, 1), (0, True), (0, 5)))
+    assert jet.e == 4 and coordinate_order(jet, 1) == 1
+    for name in ("field", "m", "coords", "terms", "e"):
+        with pytest.raises(AttributeError):
+            setattr(jet, name, None)
+
+
 def test_coordinate_order_uses_is_zero():
     f3 = prime_field(3)
     # raw residue 3 represents zero, so the order is 2, not 1
@@ -703,6 +716,120 @@ def test_membership_loop_leaves_each_i_at_its_first_degree_bound(monkeypatch, en
     assert not is_member(TruncatedJet(arc.field, m, rows), surf)
     assert is_member(arc, surf) and contact_profile(arc, surf)
     assert len(drawn) == steps
+
+
+def _check_two_representations(jet, surf):
+    """The jet, its copy through the dense constructor and its copy from the
+    sparse rows are one jet: equal, with one hash, one membership answer
+    and one contact profile.  Returns the membership answer."""
+    dense = TruncatedJet(jet.field, jet.m, jet.coords)
+    sparse = TruncatedJet._from_terms(jet.field, jet.m, jet.terms)
+    member = is_member(jet, surf)
+    for copy in (dense, sparse):
+        assert copy == jet and hash(copy) == hash(jet) and copy.coords == jet.coords
+        assert is_member(copy, surf) == member
+        if member:
+            assert contact_profile(copy, surf) == contact_profile(jet, surf)
+        else:
+            with pytest.raises(NonMemberError):
+                contact_profile(copy, surf)
+    return member
+
+
+def _check_arcs_against_pairings(surfaces, m):
+    """Every witness arc at level m is the dense jet with the coefficient 1
+    at t^<u_j, v> in coordinate j (none when <u_j, v> > m), in both
+    representations."""
+    for surf in surfaces:
+        for (i, s, l) in valid_labels(surf, m):
+            v, _ = contact_vector(surf, i, s, l)
+            arc = jets.monomial_arc(surf, v, m)
+            rows = [[0] * (m + 1) for _ in range(surf.e)]
+            for j, row in enumerate(rows, start=1):
+                if (d := surf.pairing(j, v)) <= m:
+                    row[d] = 1
+            want = TruncatedJet(arc.field, m, rows)
+            assert arc == want and hash(arc) == hash(want)
+            assert _check_two_representations(arc, surf)
+
+
+def test_arcs_and_dense_jets_agree_in_both_representations(family12):
+    for m in (2, 6, 12):
+        _check_arcs_against_pairings(family12, m)
+    # seeded dense jets over F_2, F_3, F_5 and Q, unreduced residues and
+    # Fraction zeros included, and their truncations, which are sparse-built
+    rng = random.Random(20261026)
+    fields = (prime_field(2), prime_field(3), prime_field(5), RATIONALS)
+    seen = set()
+    for _ in range(600):
+        surf = rng.choice(family12)
+        field = rng.choice(fields)
+        m = rng.randint(0, 4)
+        if rng.random() < 0.5:
+            y = rng.randint(0, 2)
+            x = -(-surf.p * y // surf.q) + rng.randint(0, 2)  # (x, y) in the cone
+            rows = [list(row) for row in monomial_arc(surf, (x, y), m, field).coords]
+            if rng.random() < 0.5:
+                rows[rng.randrange(surf.e)][rng.randint(0, m)] += _random_coefficient(rng, field)
+        else:
+            zero = Fraction(0) if field is RATIONALS else 0
+            rows = [[_random_coefficient(rng, field) if rng.random() < 0.3 else zero
+                     for _ in range(m + 1)] for _ in range(surf.e)]
+        jet = TruncatedJet(field, m, rows)
+        seen.add(_check_two_representations(jet, surf))
+        k = rng.randint(0, m)
+        low = truncate(jet, k)
+        assert low == TruncatedJet(field, k, [row[: k + 1] for row in rows])
+        _check_two_representations(low, surf)
+    assert seen == {True, False}
+
+
+def test_an_arc_term_one_degree_high_is_caught(monkeypatch, family12):
+    # monomial_arc planted to put each term at t^(d+1): a valid-looking jet,
+    # equal to its own dense copy, but not the arc of v
+    real = jets.monomial_arc
+
+    def planted(surface, v, m, field=RATIONALS):
+        terms = real(surface, v, m, field).terms
+        return TruncatedJet._from_terms(field, m, tuple(
+            tuple((d + 1, c) for d, c in row if d < m) for row in terms))
+
+    monkeypatch.setattr(jets, "monomial_arc", planted)
+    with pytest.raises(AssertionError):
+        _check_arcs_against_pairings(family12, 6)
+
+
+def test_contact_profile_of_an_arc_builds_no_dense_rows(monkeypatch, family12):
+    # the arc carries its sparse rows: neither the dense view nor the
+    # dense-to-sparse conversion runs, at any level
+    def fail(*args):
+        pytest.fail("the arc path built or converted dense rows")
+
+    monkeypatch.setattr(TruncatedJet, "coords", property(fail))
+    monkeypatch.setattr(jets, "_sparse_rows", fail)
+    for surf in family12:
+        for n, (i, s, l) in enumerate(valid_labels(surf, 12)):
+            v, _ = contact_vector(surf, i, s, l)
+            for m in (12, 10 ** 7) if n == 0 else (12,):
+                arc = monomial_arc(surf, v, m)
+                assert is_member(arc, surf)
+                profile, over = contact_profile(arc, surf)
+                assert over and (profile[i - 1], profile[i]) == (s, l)
+                assert coordinate_order(arc, i) == s
+    with pytest.raises(pytest.fail.Exception):  # the spies are live
+        TruncatedJet(RATIONALS, 0, ((1,),)).terms
+
+
+def test_evaluate_reads_the_cached_sparse_rows(monkeypatch):
+    # one conversion per jet, not one per binomial
+    calls = []
+    real = jets._sparse_rows
+    monkeypatch.setattr(jets, "_sparse_rows", lambda coords: calls.append(1) or real(coords))
+    surf = ToricSurface.from_pair(5, 7)
+    jet = TruncatedJet(RATIONALS, 4, [list(row) for row in monomial_arc(surf, (3, 4), 4).coords])
+    assert all(not any(evaluate(eq, jet)) for eq in generators(surf))
+    assert is_member(jet, surf) and len(generators(surf)) > 1
+    assert len(calls) == 1
 
 
 def test_contact_profile_reads_orders_through_the_field():

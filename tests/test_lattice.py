@@ -201,6 +201,14 @@ def test_contact_vector_validation():
         contact_vector(surf, 2, 2, 1)  # l < s
 
 
+@pytest.mark.parametrize("i,s,l", [(3.0, 1, 2), (3, 1.5, 2), (3, 1, Fraction(5, 2))],
+                         ids=["i", "s", "l"])
+def test_contact_vector_rejects_a_non_integral_argument(i, s, l):
+    # 3.0 would fail tuple indexing and s = 1.5 the pairing check inside
+    with pytest.raises(InputRangeError, match="must be integers"):
+        contact_vector(ToricSurface.from_pair(3, 5), i, s, l)
+
+
 def test_contact_vector_solves_the_pairing_system(family12):
     # v is the unique lattice point with <u_i, v> = s and <u_{i+1}, v> = l
     for surf in family12:
