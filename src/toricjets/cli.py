@@ -3,15 +3,17 @@
 analyze classifies the jet fiber components of one surface at one level;
 verify drives the symbolic invariant suite and the finite-field oracle;
 witness produces an explicit arc realizing a prescribed contact label.
-Each command builds one document, printed as json (the standard encoder
-with sorted keys and two-space indent), md (default) or csv (fixed header
-per subcommand), the last two from the document alone; witness adds its
-jet's coefficients for json only.  analyze's json builds no document: its
-equations (from minus_walk) and classes (from the gluing scan class_runs)
-are written as text and placed into the standard encoder's text of the rest.
+Output is json (the standard encoder with sorted keys and two-space indent),
+md (default) or csv (fixed header per subcommand).  verify and witness build
+one document and render md and csv from it alone; witness adds its jet's
+coefficients for json only.  analyze builds no document: every format reads
+its equations from minus_walk and its classes from the gluing scan
+class_runs (json places them as text into the standard encoder's text of the
+rest; csv writes only the class rows).
 
 main builds one parser, for the named command alone; the full tree of all
-three commands only when the first argument names no command.
+three commands only when the first argument names no command.  Every command
+runs through its writer in COMMANDS.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or validation error,
 3 enumeration guard exceeded.
@@ -30,12 +32,10 @@ import time
 from . import components
 from .components import (
     class_runs,
-    component_report,
     count_closed_form,
     enumerate_classes,
     m_cap,
     main_codim,
-    report_as_dict,
     valid_labels,
 )
 from .equations import generators, grading_check, minus_walk
@@ -88,14 +88,6 @@ def _yes_no(flag) -> str:
     return "yes" if flag else "no"
 
 
-def _mono_str(exponents) -> str:
-    parts = []
-    for k, a in enumerate(exponents, start=1):
-        if a:
-            parts.append(f"x{k}" + (f"^{a}" if a > 1 else ""))
-    return "*".join(parts) if parts else "1"
-
-
 def _label_str(label) -> str:
     return f"({label[0]},{label[1]},{label[2]})"
 
@@ -109,16 +101,6 @@ def _csv_text(header, rows) -> str:
 
 
 # ---------------------------------------------------------------- analyze
-
-
-def _analyze_doc(surface: ToricSurface, args) -> dict:
-    """The source of md and csv, and the reference for _analyze_json."""
-    report = component_report(surface, args.m)
-    equations = [
-        {"i": eq.i, "j": eq.j, "minus_exponents": list(eq.minus_exponents)}
-        for eq in generators(surface)
-    ]
-    return _analyze_frame(surface, report.exceptional_count, equations, report_as_dict(report))
 
 
 def _analyze_frame(surface: ToricSurface, dual_cf: int, equations, comp) -> dict:
@@ -138,14 +120,14 @@ def _analyze_frame(surface: ToricSurface, dual_cf: int, equations, comp) -> dict
 
 
 def _analyze_json(surface: ToricSurface, m: int) -> str:
-    """_canonical_json(_analyze_doc(surface, m)) without the dense document or
-    any ComponentClass.  The classes are written from class_runs: a glued run
-    from one template per class, a span of singletons (i, s, l) from one
-    template per (i, s) with l filled in; the equations per step of minus_walk
-    as a zero run, the running product's text, the closing factor and a zero
-    run.  Both sections go in place of their placeholder strings in the
-    standard encoder's text of the frame, by one join of its slices.  A step
-    off that shape raises InputRangeError."""
+    """The canonical json of analyze's document, without the dense exponent
+    vectors or any ComponentClass.  The classes are written from class_runs: a
+    glued run from one template per class, a span of singletons (i, s, l) from
+    one template per (i, s) with l filled in; the equations per step of
+    minus_walk as a zero run, the running product's text, the closing factor
+    and a zero run.  Both sections go in place of their placeholder strings in
+    the standard encoder's text of the frame, by one join of its slices.  A
+    step off that shape raises InputRangeError."""
     canon = '{\n        "canonical": [\n          %s,\n          %s,\n          %s\n        ],\n'
     member = "[\n            %s,\n            %s,\n            %s\n          ]"
     sep = ",\n          "
@@ -167,7 +149,8 @@ def _analyze_json(surface: ToricSurface, m: int) -> str:
     comp = {
         "m": m,
         "classes": "\0classes",
-        # the count component_report reads for md and csv, through its module
+        # read through its module, as _analyze_md reads it: a count planted
+        # in components reaches both
         "N": {"enumerated": len(classes), "closed_form": components.count_closed_form(surface, m)},
         "s1_count": s1_count,
         "exceptional": dual_cf,
@@ -201,67 +184,75 @@ def _analyze_json(surface: ToricSurface, m: int) -> str:
     ))
 
 
-def _analyze_md(doc: dict) -> str:
-    surf = doc["surface"]
-    comp = doc["components"]
-    exc = doc["exceptional"]
+def _factor(k: int, a: int) -> str:
+    return f"x{k}" if a == 1 else f"x{k}^{a}"
+
+
+def _analyze_md(surface: ToricSurface, m: int) -> str:
+    """One equation row per step of minus_walk, from a running text of the
+    nonzero grow factors of its i (an entry c_k = 2 grows by x_k^0, skipped)
+    and the closing factor; a step off its shape raises InputRangeError, as in
+    _analyze_json.  The class rows and counts from enumerate_classes."""
+    classes = enumerate_classes(surface, m)
+    dual_cf, hull = exceptional_count_dual_cf(surface.cone), exceptional_count_hull(surface.cone)
     lines = [
-        f"# analyze p={surf['p']} q={surf['q']} m={comp['m']}",
+        f"# analyze p={surface.p} q={surface.q} m={m}",
         "",
-        f"- continued fraction entries: {surf['entries']}",
-        f"- embedding dimension e: {surf['e']}",
-        "- dual basis: " + ", ".join(f"({u[0]}, {u[1]})" for u in surf["dual_basis"]),
-        f"- exceptional divisors: dual_cf={exc['dual_cf']} hull={exc['hull']} "
-        f"agree={_yes_no(exc['agree'])}",
+        f"- continued fraction entries: {list(surface.entries)}",
+        f"- embedding dimension e: {surface.e}",
+        "- dual basis: " + ", ".join(f"({a}, {b})" for a, b in surface.basis),
+        f"- exceptional divisors: dual_cf={dual_cf} hull={hull} agree={_yes_no(dual_cf == hull)}",
         "",
         "## Defining equations",
         "",
         "| i | j | relation |",
         "| - | - | - |",
     ]
-    e = surf["e"]
-    for eq in doc["equations"]:
-        plus = [0] * e
-        plus[eq["i"] - 1] = 1
-        plus[eq["j"] - 1] = 1
-        lines.append(
-            f"| {eq['i']} | {eq['j']} | "
-            f"{_mono_str(plus)} = {_mono_str(eq['minus_exponents'])} |"
-        )
+    e = surface.e
+    for i, steps in minus_walk(surface):
+        run = ""  # "*" and the text of each nonzero grow factor so far
+        for n, (j, grow, (k, a)) in enumerate(steps):
+            if not (0 < i and j == i + 2 + n <= e and k == j - 1 and a >= 0 and (
+                    i < grow[0] == j - 2 and grow[1] >= 0 if grow else n == 0)):
+                raise InputRangeError(f"step (i={i}, j={j}) of minus_walk is off its shape")
+            if grow and grow[1]:
+                run += "*" + _factor(*grow)
+            minus = run + "*" + _factor(k, a) if a else run
+            lines.append(f"| {i} | {j} | x{i}*x{j} = {minus[1:] or '1'} |")
     lines += [
         "",
-        f"## Component classes at m={comp['m']}",
+        f"## Component classes at m={m}",
         "",
         "| canonical | members | s | codim | dim |",
         "| - | - | - | - | - |",
     ]
-    for cl in comp["classes"]:
-        members = " ".join(_label_str(x) for x in cl["members"])
+    for cl in classes:
+        members = " ".join(_label_str(x) for x in cl.members)
         lines.append(
-            f"| {_label_str(cl['canonical'])} | {members} | {cl['s']} "
-            f"| {cl['codim']} | {cl['dim']} |"
+            f"| {_label_str(cl.canonical)} | {members} | {cl.s} | {cl.codim} | {cl.dim} |"
         )
     lines += [
         "",
-        f"- N enumerated: {comp['N']['enumerated']}",
-        f"- N closed form: {comp['N']['closed_form']}",
-        f"- classes with s=1: {comp['s1_count']}",
-        f"- exceptional divisors: {comp['exceptional']}",
-        f"- main component codim: {comp['main_codim']}",
+        f"- N enumerated: {len(classes)}",
+        f"- N closed form: {components.count_closed_form(surface, m)}",
+        f"- classes with s=1: {sum(cl.s == 1 for cl in classes)}",
+        f"- exceptional divisors: {dual_cf}",
+        f"- main component codim: {main_codim(surface, m)}",
     ]
     return "\n".join(lines)
 
 
-def _analyze_csv(doc: dict) -> str:
-    rows = []
-    for cl in doc["components"]["classes"]:
-        ci, cs, cl_ = cl["canonical"]
-        members = ";".join(f"{i}:{s}:{l}" for i, s, l in cl["members"])
-        rows.append([ci, cs, cl_, cl["s"], cl["codim"], cl["dim"], members])
+def _analyze_csv(surface: ToricSurface, m: int) -> str:
+    rows = [[*cl.canonical, cl.s, cl.codim, cl.dim,
+             ";".join(f"{i}:{s}:{l}" for i, s, l in cl.members)]
+            for cl in enumerate_classes(surface, m)]
     return _csv_text(
-        ["canonical_i", "canonical_s", "canonical_l", "s", "codim", "dim", "members"],
-        rows,
-    )
+        ["canonical_i", "canonical_s", "canonical_l", "s", "codim", "dim", "members"], rows)
+
+
+def _analyze(surface: ToricSurface, args):
+    write = {"json": _analyze_json, "md": _analyze_md, "csv": _analyze_csv}[args.format]
+    return write(surface, args.m), 0
 
 
 # ---------------------------------------------------------------- verify
@@ -270,6 +261,8 @@ def _analyze_csv(doc: dict) -> str:
 def _verify_doc(surface: ToricSurface, args) -> dict:
     """Every verification check for one surface; exit status follows "result"."""
     m, field, guard = args.m, args.field, args.guard
+    if args.jobs < 1:
+        raise InputRangeError(f"--jobs must be >= 1, got {args.jobs}")
     t0 = time.monotonic()
     # the fiber is charged the largest budget, p^(e(m+1)): refuse before any work
     config = OracleConfig(field, m, guard)
@@ -479,6 +472,16 @@ def _witness_csv(doc: dict) -> str:
 # ---------------------------------------------------------------- driver
 
 
+def _documented(build, render_md, render_csv):
+    """The writer of a command that builds one document: json is its
+    canonical text, and the exit status follows its "result"."""
+    def write(surface: ToricSurface, args):
+        doc = build(surface, args)
+        render = {"json": _canonical_json, "md": render_md, "csv": render_csv}[args.format]
+        return render(doc), 1 if doc.get("result") == "fail" else 0
+    return write
+
+
 # the options of every command, as (flag, add_argument keywords) pairs
 SHARED_OPTIONS = (
     ("--p", dict(type=int, required=True, help="first entry of the coprime pair")),
@@ -487,24 +490,23 @@ SHARED_OPTIONS = (
     ("--format", dict(choices=("json", "md", "csv"), default="md", help="output format")),
 )
 
-# command -> (help line, its own options, document builder, md renderer, csv renderer);
-# json is canonical
+# command -> (help line, its own options, writer); a writer takes the surface
+# and the parsed arguments and returns (output text, exit status)
 COMMANDS = {
-    "analyze": ("classify the jet fiber components at level m", (),
-                _analyze_doc, _analyze_md, _analyze_csv),
+    "analyze": ("classify the jet fiber components at level m", (), _analyze),
     "verify": ("run the invariant suite and the finite-field oracle", (
         ("--field", dict(type=int, required=True, help="prime field characteristic")),
         ("--guard", dict(type=int, default=None, help="enumeration point budget "
                          f"(default {DEFAULT_GUARD}, or ${GUARD_ENV})")),
         ("--strict", dict(action="store_true",
                           help="treat experimental count mismatches as hard failures")),
-        ("--jobs", dict(type=int, default=1, help="accepted and ignored: single process")),
-    ), _verify_doc, _verify_md, _verify_csv),
+        ("--jobs", dict(type=int, default=1, help=">= 1, accepted and ignored: single process")),
+    ), _documented(_verify_doc, _verify_md, _verify_csv)),
     "witness": ("produce the arc realizing a contact label (i, s, l)", (
         ("--i", dict(type=int, required=True, help="coordinate index, 2..e-1")),
         ("--s", dict(type=int, required=True, help="contact order of x_i")),
         ("--l", dict(type=int, required=True, help="contact order of x_{i+1}")),
-    ), _witness_doc, _witness_md, _witness_csv),
+    ), _documented(_witness_doc, _witness_md, _witness_csv)),
 }
 
 
@@ -537,7 +539,7 @@ def main(argv=None) -> int:
         args = _build_parser(argv[0]).parse_args(argv[1:])
     else:
         args = _build_parser().parse_args(argv)
-    build, render_md, render_csv = COMMANDS[args.command][2:]
+    write = COMMANDS[args.command][2]
     try:
         # m, then the guard environment, then the pair: the first bad input is reported
         if args.m < 1:
@@ -545,19 +547,15 @@ def main(argv=None) -> int:
         if "guard" in args and args.guard is None:
             args.guard = _default_guard()
         surface = ToricSurface.from_pair(args.p, args.q)
-        if args.command == "analyze" and args.format == "json":
-            print(_analyze_json(surface, args.m))
-            return 0
-        doc = build(surface, args)
+        text, code = write(surface, args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ToricJetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    render = {"json": _canonical_json, "md": render_md, "csv": render_csv}[args.format]
-    print(render(doc))
-    return 1 if doc.get("result") == "fail" else 0
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

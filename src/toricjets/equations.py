@@ -5,8 +5,8 @@ x_i x_j - x_{i+1}^{c_{i+1}-1} (prod_{k=i+2}^{j-2} x_k^{c_k-2}) x_{j-1}^{c_{j-1}-
 over all pairs 1 <= i < j-1 <= e-1.  For a fixed i the minus monomials are
 one running product, grown by one factor per j, times one closing factor;
 minus_walk yields each i with its binomials in that form; membership and
-analyze's JSON read it, and generators expands it into dense exponent vectors
-for verify's grading check, for jets.evaluate and for the tests.
+analyze's json and md read it, and generators expands it into dense exponent
+vectors for verify's grading check, for jets.evaluate and for the tests.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class BinomialEquation:
             raise InputRangeError(
                 f"need 1 <= i < j-1 <= {e - 1}, got i={self.i} j={self.j}"
             )
-        # Whole-vector scans only: a wide analyze builds e^2/2 of these.
+        # Whole-vector scans only: generators builds e^2/2 of these.
         plus, minus = self.plus_exponents, self.minus_exponents
         if not (plus.count(0) == e - 2 and plus[self.i - 1] == plus[self.j - 1] == 1):
             raise InputRangeError("plus monomial must be exactly x_i * x_j")

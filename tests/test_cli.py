@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import multiprocessing
@@ -13,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from toricjets import ABOVE_M, ToricSurface, cli, components, equations, hj_evaluate, jets, oracle
-from toricjets.cli import _analyze_doc, _canonical_json, main
-from toricjets.components import class_runs
-from toricjets.equations import minus_walk
+from toricjets.cli import _analyze_frame, _canonical_json, _csv_text, _label_str, _yes_no, main
+from toricjets.components import class_runs, component_report, report_as_dict
+from toricjets.equations import generators, minus_walk
 from conftest import coprime_family, plant_in_series
 import test_components
 
@@ -111,13 +112,112 @@ WRITER_CASES = [
 ]
 
 
-def _writer_mismatch():
-    """The first (p, q, m) of WRITER_CASES where cli._analyze_json differs from
-    the canonical text of the analyze document, or None."""
-    return next((
-        (surf.p, surf.q, m) for surf, m in WRITER_CASES
-        if cli._analyze_json(surf, m) != _canonical_json(_analyze_doc(surf, Namespace(m=m)))
-    ), None)
+# The analyze document, built from generators and component_report, and its md
+# and csv renderers: the references of cli's analyze writers, which read the
+# scans.
+
+
+def _mono_str(exponents) -> str:
+    parts = []
+    for k, a in enumerate(exponents, start=1):
+        if a:
+            parts.append(f"x{k}" + (f"^{a}" if a > 1 else ""))
+    return "*".join(parts) if parts else "1"
+
+
+def _analyze_doc(surface: ToricSurface, args) -> dict:
+    """The source of md and csv, and the reference for _analyze_json."""
+    report = component_report(surface, args.m)
+    equations = [
+        {"i": eq.i, "j": eq.j, "minus_exponents": list(eq.minus_exponents)}
+        for eq in generators(surface)
+    ]
+    return _analyze_frame(surface, report.exceptional_count, equations, report_as_dict(report))
+
+
+def _analyze_md(doc: dict) -> str:
+    surf = doc["surface"]
+    comp = doc["components"]
+    exc = doc["exceptional"]
+    lines = [
+        f"# analyze p={surf['p']} q={surf['q']} m={comp['m']}",
+        "",
+        f"- continued fraction entries: {surf['entries']}",
+        f"- embedding dimension e: {surf['e']}",
+        "- dual basis: " + ", ".join(f"({u[0]}, {u[1]})" for u in surf["dual_basis"]),
+        f"- exceptional divisors: dual_cf={exc['dual_cf']} hull={exc['hull']} "
+        f"agree={_yes_no(exc['agree'])}",
+        "",
+        "## Defining equations",
+        "",
+        "| i | j | relation |",
+        "| - | - | - |",
+    ]
+    e = surf["e"]
+    for eq in doc["equations"]:
+        plus = [0] * e
+        plus[eq["i"] - 1] = 1
+        plus[eq["j"] - 1] = 1
+        lines.append(
+            f"| {eq['i']} | {eq['j']} | "
+            f"{_mono_str(plus)} = {_mono_str(eq['minus_exponents'])} |"
+        )
+    lines += [
+        "",
+        f"## Component classes at m={comp['m']}",
+        "",
+        "| canonical | members | s | codim | dim |",
+        "| - | - | - | - | - |",
+    ]
+    for cl in comp["classes"]:
+        members = " ".join(_label_str(x) for x in cl["members"])
+        lines.append(
+            f"| {_label_str(cl['canonical'])} | {members} | {cl['s']} "
+            f"| {cl['codim']} | {cl['dim']} |"
+        )
+    lines += [
+        "",
+        f"- N enumerated: {comp['N']['enumerated']}",
+        f"- N closed form: {comp['N']['closed_form']}",
+        f"- classes with s=1: {comp['s1_count']}",
+        f"- exceptional divisors: {comp['exceptional']}",
+        f"- main component codim: {comp['main_codim']}",
+    ]
+    return "\n".join(lines)
+
+
+def _analyze_csv(doc: dict) -> str:
+    rows = []
+    for cl in doc["components"]["classes"]:
+        ci, cs, cl_ = cl["canonical"]
+        members = ";".join(f"{i}:{s}:{l}" for i, s, l in cl["members"])
+        rows.append([ci, cs, cl_, cl["s"], cl["codim"], cl["dim"], members])
+    return _csv_text(
+        ["canonical_i", "canonical_s", "canonical_l", "s", "codim", "dim", "members"],
+        rows,
+    )
+
+
+# format -> (the cli writer, looked up at each call so that a fault planted in
+# cli reaches it, and the reference renderer of the document)
+ANALYZE_WRITERS = {
+    "json": (lambda surf, m: cli._analyze_json(surf, m), _canonical_json),
+    "md": (lambda surf, m: cli._analyze_md(surf, m), _analyze_md),
+    "csv": (lambda surf, m: cli._analyze_csv(surf, m), _analyze_csv),
+}
+
+
+def _writer_mismatch(formats=tuple(ANALYZE_WRITERS)):
+    """The first (p, q, m, format) of WRITER_CASES and formats where the cli
+    analyze writer differs from the reference rendering of the document, or
+    None."""
+    for surf, m in WRITER_CASES:
+        doc = _analyze_doc(surf, Namespace(m=m))
+        for fmt in formats:
+            write, reference = ANALYZE_WRITERS[fmt]
+            if write(surf, m) != reference(doc):
+                return surf.p, surf.q, m, fmt
+    return None
 
 
 def test_analyze_json_writer_matches_the_document(capsys):
@@ -140,7 +240,7 @@ def _plant_in_walk(monkeypatch, at, plant):
 
 def test_analyze_json_writer_catches_a_grow_off_by_one(monkeypatch):
     _plant_in_walk(monkeypatch, (1, 4), lambda grow, last: ((grow[0], grow[1] + 1), last))
-    assert _writer_mismatch() is not None
+    assert _writer_mismatch(("json",)) is not None
 
 
 def _plant_in_source(monkeypatch, module, name, good, bad, into=()):
@@ -158,19 +258,19 @@ def test_analyze_json_writer_catches_a_short_zero_run(monkeypatch):
     # the zero run after the closing factor, one position short
     _plant_in_source(monkeypatch, cli, "_analyze_json",
                      "zeros[:11 * (e - j + 1)]", "zeros[:11 * (e - j)]")
-    assert _writer_mismatch() is not None
+    assert _writer_mismatch(("json",)) is not None
 
 
 def test_analyze_json_writer_catches_a_singleton_member_off_by_one(monkeypatch):
     # the span's template writes (i, s, l+1) among the members of (i, s, l)
     _plant_in_source(monkeypatch, cli, "_analyze_json",
                      "single % (l, l)", "single % (l, l + 1)")
-    assert _writer_mismatch() is not None
+    assert _writer_mismatch(("json",)) is not None
 
 
 def test_analyze_json_writer_catches_s1_count_over_every_s(monkeypatch):
     _plant_in_source(monkeypatch, cli, "_analyze_json", "if s == 1:", "if True:")
-    assert _writer_mismatch() is not None
+    assert _writer_mismatch(("json",)) is not None
 
 
 def test_analyze_json_writer_catches_a_glued_run_as_a_singleton(monkeypatch):
@@ -182,7 +282,28 @@ def test_analyze_json_writer_catches_a_glued_run_as_a_singleton(monkeypatch):
                                   for g in groups]
 
     monkeypatch.setattr(cli, "class_runs", runs)
-    assert _writer_mismatch() is not None
+    assert _writer_mismatch(("json",)) is not None
+
+
+def test_analyze_md_writer_catches_a_grow_off_by_one(monkeypatch):
+    _plant_in_walk(monkeypatch, (1, 4), lambda grow, last: ((grow[0], grow[1] + 1), last))
+    assert _writer_mismatch(("md",)) is not None
+
+
+def test_analyze_md_writer_catches_a_printed_zero_grow_factor(monkeypatch):
+    # an entry c_k = 2 grows the running product by x_k^0, which is not printed
+    _plant_in_source(monkeypatch, cli, "_analyze_md", "if grow and grow[1]:", "if grow:")
+    assert _writer_mismatch(("md",)) is not None
+
+
+def test_analyze_md_writer_catches_s1_count_over_every_s(monkeypatch):
+    _plant_in_source(monkeypatch, cli, "_analyze_md", "cl.s == 1", "True")
+    assert _writer_mismatch(("md",)) is not None
+
+
+def test_analyze_csv_writer_catches_a_glued_class_cut_to_its_canonical(monkeypatch):
+    _plant_in_source(monkeypatch, cli, "_analyze_csv", "in cl.members", "in cl.members[:1]")
+    assert _writer_mismatch(("csv",)) is not None
 
 
 def test_class_runs_span_off_by_one_reaches_both_consumers(capsys, monkeypatch):
@@ -207,17 +328,44 @@ def test_analyze_json_refuses_a_last_factor_off_its_place(capsys, monkeypatch):
     assert "step (i=1, j=4) of minus_walk" in err
 
 
-def test_analyze_json_builds_no_dense_document(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("analyze --format json built the dense document")
+def test_analyze_md_refuses_a_last_factor_off_its_place(capsys, monkeypatch):
+    _plant_in_walk(monkeypatch, (1, 4), lambda grow, last: (grow, (last[0] - 1, last[1])))
+    argv = ["analyze", "--p", "3", "--q", "5", "--m", "4"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "step (i=1, j=4) of minus_walk" in err
+    # csv writes no equation, so it never reads the walk
+    code, out, err = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0 and out == (GOLDEN / "analyze_p3_q5_m4.csv").read_text()
 
+
+# sha256 of analyze --p 999 --q 2000 --m 3 (e = 502) as the document-based
+# writers printed it; json, 701 MB, is left out
+E502_SHA256 = {
+    "md": "bf336e991f43d74d0df0381fdc9646eea269d9469eedf62cc47e3e8db6dd489a",
+    "csv": "b6f3f1351039624882e965bad39e10c77f0b73e39125e5d73a65374e6da9aec4",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "md", "csv"])
+def test_analyze_builds_no_dense_document(capsys, monkeypatch, fmt):
+    def refuse(*args):
+        raise AssertionError(f"analyze --format {fmt} built the dense document")
+
+    monkeypatch.setattr(equations, "generators", refuse)
     monkeypatch.setattr(cli, "generators", refuse)
-    monkeypatch.setattr(cli, "report_as_dict", refuse)
+    monkeypatch.setattr(components, "component_report", refuse)
+    monkeypatch.setattr(components, "report_as_dict", refuse)
     monkeypatch.setattr(equations.BinomialEquation, "__post_init__", refuse)
     code, out, err = _run(capsys, ["analyze", "--p", "3", "--q", "5", "--m", "4",
-                                   "--format", "json"])
+                                   "--format", fmt])
     assert code == 0 and err == ""
-    assert out == (GOLDEN / "analyze_p3_q5_m4.json").read_text()
+    assert out == (GOLDEN / f"analyze_p3_q5_m4.{fmt}").read_text()
+    if fmt in E502_SHA256:
+        code, out, err = _run(capsys, ["analyze", "--p", "999", "--q", "2000", "--m", "3",
+                                       "--format", fmt])
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == E502_SHA256[fmt]
 
 
 def test_analyze_json_builds_no_class_objects(capsys, monkeypatch):
@@ -227,7 +375,7 @@ def test_analyze_json_builds_no_class_objects(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("analyze --format json built a ComponentClass")
 
-    monkeypatch.setattr(cli, "component_report", refuse)
+    monkeypatch.setattr(components, "component_report", refuse)
     monkeypatch.setattr(cli, "enumerate_classes", refuse)
     monkeypatch.setattr(components, "enumerate_classes", refuse)
     monkeypatch.setattr(components.ComponentClass, "__new__", refuse)
@@ -628,8 +776,8 @@ def test_witness_detail_counts_the_realized_labels(capsys, monkeypatch):
 
 
 def test_verify_jobs_flag(capsys, monkeypatch):
-    # --jobs is accepted and ignored: the output is the same and no process
-    # starts, even at m = 4, where the fiber walk reaches level 2
+    # --jobs >= 1 is accepted and ignored: the output is the same and no
+    # process starts, even at m = 4, where the fiber walk reaches level 2
     def no_process(self):
         raise AssertionError("verify started a process")
 
@@ -640,6 +788,11 @@ def test_verify_jobs_flag(capsys, monkeypatch):
         code_par, out_par, _ = _run(capsys, argv + ["--jobs", "2"])
         assert code_seq == code_par == 0
         assert out_seq == out_par
+    for jobs in ("0", "-7"):
+        code, out, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
+                                       "--field", "3", "--jobs", jobs])
+        assert code == 2 and out == ""
+        assert err == f"error: --jobs must be >= 1, got {jobs}\n"
 
 
 def _exit_of(capsys, argv):
