@@ -7,9 +7,10 @@ Output is json (the standard encoder with sorted keys and two-space indent),
 md (default) or csv (fixed header per subcommand).  verify and witness build
 one document and render md and csv from it alone; witness adds its jet's
 coefficients for json only.  analyze builds no document: every format reads
-its equations from minus_walk and its classes from the gluing scan
+its equations from checked_walk and its classes from the gluing scan
 class_runs (json places them as text into the standard encoder's text of the
-rest; csv writes only the class rows).
+rest; csv writes only the class rows).  verify's grading check reads the same
+walk, so no command builds the dense generators.
 
 main builds one parser, for the named command alone; the full tree of all
 three commands only when the first argument names no command.  Every command
@@ -25,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -38,7 +38,7 @@ from .components import (
     main_codim,
     valid_labels,
 )
-from .equations import generators, grading_check, minus_walk
+from .equations import checked_walk, grading_check
 from .errors import (
     GuardExceededError,
     InputRangeError,
@@ -60,19 +60,6 @@ from .oracle import (
     fiber_profiles,
     required_budget,
 )
-
-GUARD_ENV = "TORICJETS_GUARD"
-
-
-def _default_guard() -> int:
-    raw = os.environ.get(GUARD_ENV)
-    if raw is None:
-        return DEFAULT_GUARD
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputRangeError(f"{GUARD_ENV} must be an integer, got {raw!r}") from None
-
 
 def _canonical_json(doc) -> str:
     """Canonical JSON, the standard encoder's text with sorted keys and a
@@ -124,10 +111,9 @@ def _analyze_json(surface: ToricSurface, m: int) -> str:
     vectors or any ComponentClass.  The classes are written from class_runs: a
     glued run from one template per class, a span of singletons (i, s, l) from
     one template per (i, s) with l filled in; the equations per step of
-    minus_walk as a zero run, the running product's text, the closing factor
+    checked_walk as a zero run, the running product's text, the closing factor
     and a zero run.  Both sections go in place of their placeholder strings in
-    the standard encoder's text of the frame, by one join of its slices.  A
-    step off that shape raises InputRangeError."""
+    the standard encoder's text of the frame, by one join of its slices."""
     canon = '{\n        "canonical": [\n          %s,\n          %s,\n          %s\n        ],\n'
     member = "[\n            %s,\n            %s,\n            %s\n          ]"
     sep = ",\n          "
@@ -159,14 +145,11 @@ def _analyze_json(surface: ToricSurface, m: int) -> str:
     e = surface.e
     zeros = ",\n        0" * e  # zeros[:11 * n] is a run of n zero exponents
     rows = []
-    for i, steps in minus_walk(surface):
+    for i, steps in checked_walk(surface):
         head = f'{{\n      "i": {i},\n      "j": '
         mid = f',\n      "minus_exponents": [\n        0{zeros[:11 * (i - 1)]}'
         run = ""  # the running product at positions i+1..j-2
-        for n, (j, grow, (k, a)) in enumerate(steps):
-            if not (0 < i and j == i + 2 + n <= e and k == j - 1 and a >= 0 and (
-                    i < grow[0] == j - 2 and grow[1] >= 0 if grow else n == 0)):
-                raise InputRangeError(f"step (i={i}, j={j}) of minus_walk is off its shape")
+        for j, grow, (k, a) in steps:
             if grow:
                 run += f",\n        {grow[1]}"
             rows.append(
@@ -189,10 +172,9 @@ def _factor(k: int, a: int) -> str:
 
 
 def _analyze_md(surface: ToricSurface, m: int) -> str:
-    """One equation row per step of minus_walk, from a running text of the
+    """One equation row per step of checked_walk, from a running text of the
     nonzero grow factors of its i (an entry c_k = 2 grows by x_k^0, skipped)
-    and the closing factor; a step off its shape raises InputRangeError, as in
-    _analyze_json.  The class rows and counts from enumerate_classes."""
+    and the closing factor.  The class rows and counts from enumerate_classes."""
     classes = enumerate_classes(surface, m)
     dual_cf, hull = exceptional_count_dual_cf(surface.cone), exceptional_count_hull(surface.cone)
     lines = [
@@ -208,13 +190,9 @@ def _analyze_md(surface: ToricSurface, m: int) -> str:
         "| i | j | relation |",
         "| - | - | - |",
     ]
-    e = surface.e
-    for i, steps in minus_walk(surface):
+    for i, steps in checked_walk(surface):
         run = ""  # "*" and the text of each nonzero grow factor so far
-        for n, (j, grow, (k, a)) in enumerate(steps):
-            if not (0 < i and j == i + 2 + n <= e and k == j - 1 and a >= 0 and (
-                    i < grow[0] == j - 2 and grow[1] >= 0 if grow else n == 0)):
-                raise InputRangeError(f"step (i={i}, j={j}) of minus_walk is off its shape")
+        for j, grow, (k, a) in steps:
             if grow and grow[1]:
                 run += "*" + _factor(*grow)
             minus = run + "*" + _factor(k, a) if a else run
@@ -273,9 +251,8 @@ def _verify_doc(surface: ToricSurface, args) -> dict:
         status = "pass" if ok else ("fail" if hard else "warn")
         checks.append({"name": name, "status": status, "hard": hard, "detail": detail})
 
-    eqs = generators(surface)
-    ok = all(grading_check(surface, eq) for eq in eqs)
-    check("grading", ok, f"{len(eqs)} generators checked")
+    checked, ok = grading_check(surface)
+    check("grading", ok, f"{checked} generators checked")
 
     labels = valid_labels(surface, m)
     realized = 0
@@ -496,8 +473,8 @@ COMMANDS = {
     "analyze": ("classify the jet fiber components at level m", (), _analyze),
     "verify": ("run the invariant suite and the finite-field oracle", (
         ("--field", dict(type=int, required=True, help="prime field characteristic")),
-        ("--guard", dict(type=int, default=None, help="enumeration point budget "
-                         f"(default {DEFAULT_GUARD}, or ${GUARD_ENV})")),
+        ("--guard", dict(type=int, default=DEFAULT_GUARD,
+                         help=f"enumeration point budget (default {DEFAULT_GUARD})")),
         ("--strict", dict(action="store_true",
                           help="treat experimental count mismatches as hard failures")),
         ("--jobs", dict(type=int, default=1, help=">= 1, accepted and ignored: single process")),
@@ -541,11 +518,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     write = COMMANDS[args.command][2]
     try:
-        # m, then the guard environment, then the pair: the first bad input is reported
         if args.m < 1:
             raise InputRangeError(f"m must be >= 1, got {args.m}")
-        if "guard" in args and args.guard is None:
-            args.guard = _default_guard()
         surface = ToricSurface.from_pair(args.p, args.q)
         text, code = write(surface, args)
     except GuardExceededError as exc:

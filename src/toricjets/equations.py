@@ -4,9 +4,10 @@ The surface in affine e-space is cut out by the binomials
 x_i x_j - x_{i+1}^{c_{i+1}-1} (prod_{k=i+2}^{j-2} x_k^{c_k-2}) x_{j-1}^{c_{j-1}-1}
 over all pairs 1 <= i < j-1 <= e-1.  For a fixed i the minus monomials are
 one running product, grown by one factor per j, times one closing factor;
-minus_walk yields each i with its binomials in that form; membership and
-analyze's json and md read it, and generators expands it into dense exponent
-vectors for verify's grading check, for jets.evaluate and for the tests.
+minus_walk yields each i with its binomials in that form, and membership reads
+it.  checked_walk checks each step against that form once: analyze's json and
+md and verify's grading_check read it.  generators expands the walk into
+dense exponent vectors for jets.evaluate and for the tests.
 """
 
 from __future__ import annotations
@@ -85,6 +86,22 @@ def _steps(c, e: int, i: int):
         yield j, (j - 2, c[j - 2] - 2), (j - 1, c[j - 1] - 1)
 
 
+def checked_walk(surface: ToricSurface):
+    """Yield (i, steps) as minus_walk does, with the steps of each i as one
+    tuple, each step checked once against the shape minus_walk documents.
+
+    A step off that shape raises InputRangeError.
+    """
+    e = surface.e
+    for i, steps in minus_walk(surface):
+        steps = tuple(steps)
+        for n, (j, grow, (k, a)) in enumerate(steps):
+            if not (0 < i and j == i + 2 + n <= e and k == j - 1 and a >= 0 and (
+                    i < grow[0] == j - 2 and grow[1] >= 0 if grow else n == 0)):
+                raise InputRangeError(f"step (i={i}, j={j}) of minus_walk is off its shape")
+        yield i, steps
+
+
 @lru_cache(maxsize=16)
 def generators(surface: ToricSurface) -> tuple[BinomialEquation, ...]:
     """All (e-1)(e-2)/2 defining binomials, ordered by (i, j), built from
@@ -109,20 +126,25 @@ def generators(surface: ToricSurface) -> tuple[BinomialEquation, ...]:
     return tuple(eqs)
 
 
-def grading_check(surface: ToricSurface, eq: BinomialEquation) -> bool:
-    """True iff both monomials of eq have the same degree in the dual lattice.
+def grading_check(surface: ToricSurface) -> tuple[int, bool]:
+    """(the number of binomials checked, True iff every one is graded).
 
-    The common degree of x_i x_j is u_i + u_j; equality with the minus
-    monomial's degree is what makes every monomial arc satisfy the equation.
+    A binomial x_i x_j - R x_k^a is graded when both monomials have the same
+    degree in the dual lattice, u_i + u_j = deg R + a u_k; that is what makes
+    every monomial arc satisfy it.  The steps come from checked_walk, and for
+    each i the running product's degree deg R, the sum of b u_g over its grow
+    factors (g, b) so far, grows by one factor per step: each binomial costs
+    O(1), and the whole check O(e^2).
     """
-    lhs = [0, 0]
-    rhs = [0, 0]
-    for k in range(1, surface.e + 1):
-        ux, uy = surface.u(k)
-        a = eq.plus_exponents[k - 1]
-        b = eq.minus_exponents[k - 1]
-        lhs[0] += a * ux
-        lhs[1] += a * uy
-        rhs[0] += b * ux
-        rhs[1] += b * uy
-    return lhs == rhs
+    u = ((0, 0),) + surface.basis  # u[k] is u_k
+    count, graded = 0, True
+    for i, steps in checked_walk(surface):
+        (uix, uiy), rx, ry = u[i], 0, 0
+        for j, grow, (k, a) in steps:
+            if grow:
+                g, b = grow
+                rx += b * u[g][0]
+                ry += b * u[g][1]
+            graded &= uix + u[j][0] == rx + a * u[k][0] and uiy + u[j][1] == ry + a * u[k][1]
+        count += len(steps)
+    return count, graded

@@ -28,7 +28,6 @@ from toricjets import (
     enumerate_classes,
     exceptional_count_dual_cf,
     exceptional_count_hull,
-    generators,
     grading_check,
     hj_expand,
     m_cap,
@@ -233,9 +232,9 @@ def test_criterion_7_grading_identity():
     try:
         checked = 0
         for surf in FAMILY:
-            for eq in generators(surf):
-                assert grading_check(surf, eq), (surf.p, surf.q, eq.i, eq.j)
-                checked += 1
+            count, graded = grading_check(surf)
+            assert graded, (surf.p, surf.q)
+            checked += count
         dt = time.monotonic() - t0
         assert dt < 5.0, f"budget 5s exceeded: {dt:.1f}s"
     except BaseException:

@@ -229,13 +229,21 @@ def test_analyze_json_writer_matches_the_document(capsys):
     assert out == cli._analyze_json(surf, 12) + "\n"
 
 
-def _plant_in_walk(monkeypatch, at, plant):
-    """Make cli's minus_walk yield plant(grow, last) -> (grow, last) at step at = (i, j)."""
+def _plant_in_walk(monkeypatch, at, plant, into=(cli,)):
+    """Patch over checked_walk in each module of into a copy of it whose
+    minus_walk yields plant(grow, last) -> (grow, last) at step at = (i, j),
+    so the planted step still meets the shape check.  equations.minus_walk is
+    left as it is: generators, which the references _analyze_doc and
+    _writer_mismatch read, and membership draw the real walk."""
     def walk(surface):
         for i, steps in minus_walk(surface):
             yield i, ((j, *plant(grow, last)) if (i, j) == at else (j, grow, last)
                       for j, grow, last in steps)
-    monkeypatch.setattr(cli, "minus_walk", walk)
+
+    namespace = dict(vars(equations), minus_walk=walk)
+    exec(textwrap.dedent(inspect.getsource(equations.checked_walk)), namespace)
+    for module in into:
+        monkeypatch.setattr(module, "checked_walk", namespace["checked_walk"])
 
 
 def test_analyze_json_writer_catches_a_grow_off_by_one(monkeypatch):
@@ -347,16 +355,25 @@ E502_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("fmt", ["json", "md", "csv"])
-def test_analyze_builds_no_dense_document(capsys, monkeypatch, fmt):
+def _refuse_dense_document(monkeypatch, command):
+    """Make generators, a BinomialEquation, component_report and
+    report_as_dict raise.  The generators cache is emptied first, so a call
+    through any binding of the real generators builds a BinomialEquation."""
     def refuse(*args):
-        raise AssertionError(f"analyze --format {fmt} built the dense document")
+        raise AssertionError(f"{command} built the dense document")
 
+    generators.cache_clear()
     monkeypatch.setattr(equations, "generators", refuse)
-    monkeypatch.setattr(cli, "generators", refuse)
     monkeypatch.setattr(components, "component_report", refuse)
     monkeypatch.setattr(components, "report_as_dict", refuse)
     monkeypatch.setattr(equations.BinomialEquation, "__post_init__", refuse)
+    with pytest.raises(AssertionError):  # the spy is live
+        generators(ToricSurface.from_pair(3, 5))
+
+
+@pytest.mark.parametrize("fmt", ["json", "md", "csv"])
+def test_analyze_builds_no_dense_document(capsys, monkeypatch, fmt):
+    _refuse_dense_document(monkeypatch, f"analyze --format {fmt}")
     code, out, err = _run(capsys, ["analyze", "--p", "3", "--q", "5", "--m", "4",
                                    "--format", fmt])
     assert code == 0 and err == ""
@@ -366,6 +383,16 @@ def test_analyze_builds_no_dense_document(capsys, monkeypatch, fmt):
                                        "--format", fmt])
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == E502_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "md", "csv"])
+def test_verify_and_witness_build_no_dense_document(capsys, monkeypatch, fmt):
+    _refuse_dense_document(monkeypatch, f"verify or witness --format {fmt}")
+    for name, argv in GOLDEN_OUTPUTS:
+        if name.endswith(f".{fmt}") and name.startswith(("verify_p5", "witness_p3_q5_m4")):
+            code, out, err = _run(capsys, argv)
+            assert code == 0 and err == ""
+            assert _without_runtime(out) == (GOLDEN / name).read_text()
 
 
 def test_analyze_json_builds_no_class_objects(capsys, monkeypatch):
@@ -571,27 +598,6 @@ def test_verify_guard_flag(capsys):
     assert "raise the guard" in err
 
 
-def test_verify_guard_env(capsys, monkeypatch):
-    monkeypatch.setenv("TORICJETS_GUARD", "100")
-    code, _, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "2",
-                                 "--field", "3"])
-    assert code == 3
-    assert "531441" in err
-    # explicit flag wins over the environment
-    monkeypatch.setenv("TORICJETS_GUARD", "100")
-    code, _, _ = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
-                               "--field", "2", "--guard", str(1 << 26)])
-    assert code == 0
-
-
-def test_verify_guard_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TORICJETS_GUARD", "plenty")
-    code, _, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
-                                 "--field", "3"])
-    assert code == 2
-    assert "TORICJETS_GUARD" in err
-
-
 def test_verify_rejects_composite_field(capsys):
     code, _, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
                                  "--field", "6"])
@@ -600,10 +606,12 @@ def test_verify_rejects_composite_field(capsys):
 
 
 def test_verify_refuses_before_the_symbolic_suite(capsys, monkeypatch):
-    def generators(surface):
+    def grading_check(surface):
         raise AssertionError("the symbolic suite ran before the refusal")
 
-    monkeypatch.setattr(cli, "generators", generators)
+    monkeypatch.setattr(cli, "grading_check", grading_check)
+    with pytest.raises(AssertionError):  # the spy is live
+        main(["verify", "--p", "2", "--q", "3", "--m", "1", "--field", "3"])
     t0 = time.monotonic()
     code, out, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "3000",
                                    "--field", "2"])
@@ -625,6 +633,17 @@ def _failed_checks(capsys):
     code, out, _ = _run(capsys, VERIFY_5_7)
     failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] != "pass"]
     return code, failed
+
+
+@pytest.mark.parametrize("plant", [
+    lambda grow, last: ((grow[0], grow[1] + 1), last),
+    lambda grow, last: (grow, (last[0], last[1] + 1)),
+], ids=["grow", "closing"])
+def test_grading_catches_an_exponent_off_by_one(capsys, monkeypatch, plant):
+    # an exponent one too high, still on the walk's shape; membership reads
+    # minus_walk, not checked_walk, so only grading sees it
+    _plant_in_walk(monkeypatch, (1, 4), plant, into=(equations,))
+    assert _failed_checks(capsys) == (1, ["grading"])
 
 
 def _plant_in_fiber(monkeypatch, edit):

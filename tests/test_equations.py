@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from toricjets import (
@@ -87,8 +89,29 @@ def test_minus_support_strictly_between(family12):
 
 def test_grading_identity(family30):
     for surf in family30:
-        for eq in generators(surf):
-            assert grading_check(surf, eq)
+        assert grading_check(surf) == ((surf.e - 1) * (surf.e - 2) // 2, True)
+
+
+def _dense_grading(surf):
+    """The reference: per equation of generators, each side's dual degree
+    summed over all e variables."""
+    def degree(exponents):
+        return tuple(sum(a * u[n] for a, u in zip(exponents, surf.basis)) for n in (0, 1))
+
+    eqs = generators(surf)
+    return len(eqs), all(degree(eq.plus_exponents) == degree(eq.minus_exponents) for eq in eqs)
+
+
+def test_grading_check_matches_the_dense_reference(family30):
+    for surf in family30:
+        assert grading_check(surf) == _dense_grading(surf), (surf.p, surf.q)
+
+
+def test_grading_check_reaches_e502():
+    surf = ToricSurface.from_pair(999, 2000)
+    t0 = time.monotonic()
+    assert surf.e == 502 and grading_check(surf) == (125_250, True)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_every_monomial_has_degree_at_least_two():
