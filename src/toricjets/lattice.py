@@ -64,7 +64,10 @@ class ContinuedFraction:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+        try:
+            object.__setattr__(self, "entries", tuple(map(index, self.entries)))
+        except TypeError:
+            raise InputRangeError(f"entries must be integers, got {self.entries!r}") from None
         if any(c < 2 for c in self.entries):
             raise InputRangeError(f"every entry must be >= 2, got {self.entries}")
         if len(self.entries) < 2:
@@ -87,7 +90,7 @@ class DualBasis:
     generators: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        gens = tuple((int(u[0]), int(u[1])) for u in self.generators)
+        gens = tuple(map(lattice_point, self.generators))
         object.__setattr__(self, "generators", gens)
         if len(gens) < 4:
             raise EmbeddingDimensionError(

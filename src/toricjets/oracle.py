@@ -23,18 +23,20 @@ checks walk one slice: the nodes whose x_1 and x_2 lead with 1 if nonzero.
 check_order_propagation walks the slice of the full space to level s-1
 and counts, by ranks, the members at level 2s-1 above each candidate that
 would refute the lemma; fiber_profiles walks the slice over the origin to
-level m // 2, lists the layers above it through m-1, and counts the top
-layer by contact profile.  Each decision at a node is made in one pass: the
-fiber's residual test is the membership loop, which stops at the first
-binomial that does not vanish, and a candidate's four refuting counts come
-from one elimination of its system.  enumerate_fiber lists every point of
-the full walk.  Point counts over F_p are heuristic evidence for dimensions
-and are reported as experimental; the boolean lemma checks are hard.
+level m // 2 and counts the layers above it by contact profile.  Each
+decision at a node is made in one pass: the fiber's residual test is the
+membership loop, which stops at the first binomial that does not vanish,
+and a candidate's four refuting counts come from one elimination of its
+system.  enumerate_fiber lists every point of the full walk.  Point counts
+over F_p are heuristic evidence for dimensions and are reported as
+experimental; the boolean lemma checks are hard.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -150,34 +152,32 @@ def _row_reduce(rows, ncols: int, p: int) -> list:
     return pivots
 
 
-def _upper_system(surface: ToricSurface, rows, u: int, m: int, p: int) -> list:
+def _upper_system(surface: ToricSurface, rows, m: int, p: int) -> list:
     """Rows [A | b] of the system A a = b whose solutions are the layers
-    h+1..u of the member jets at level m above the member rows at level h,
-    for h < u <= m <= 2h+1.
+    h+1..m of the member jets at level m above the member rows at level h,
+    for h < m <= 2h+1.
 
     Unknown (g - h - 1) e + l is the coefficient a_(g, l) of x_(l+1) at t^g.
     Each binomial f gives one equation per k = h+1..m,
-    r_k + sum over g = h+1..min(k, u) and l of D_(k-g)[l] a_(g, l) = 0, with
-    r_k the t^k coefficient of f along rows and D_d[l] the t^d term of
+    r_k + sum over g = h+1..k and l of D_(k-g)[l] a_(g, l) = 0, with r_k
+    the t^k coefficient of f along rows and D_d[l] the t^d term of
     df/dx_(l+1): the Taylor expansion, since a product of two upper layers
-    lands at t^(2h+2) or above.  The layers u+1..m would enter only through
-    D_0, so u < m is for rows over the origin, where D_0 = 0 and those
-    layers are free.  The sparse terms of each binomial go straight into
-    its block of m - h equations: a term (d, c) of either side with d > h
-    into b at t^d, one of df/dx_(l+1) into unknown (g - h - 1) e + l at
-    t^(g+d).  Entries are reduced mod p.
+    lands at t^(2h+2) or above.  The sparse terms of each binomial go
+    straight into its block of m - h equations: a term (d, c) of either side
+    with d > h into b at t^d, one of df/dx_(l+1) into unknown
+    (g - h - 1) e + l at t^(g+d).  Entries are reduced mod p.
     """
     e, h = surface.e, len(rows[0]) - 1
     system = []
     for _, plus, minus, grad in _binomial_series(_sparse_rows(rows), m, surface, m - h - 1):
-        block = [[0] * (e * (u - h) + 1) for _ in range(h, m)]  # block[k - h - 1] is at t^k
+        block = [[0] * (e * (m - h) + 1) for _ in range(h, m)]  # block[k - h - 1] is at t^k
         for terms, sign in ((plus, -1), (minus, 1)):
             for d, c in terms:
                 if d > h:
                     block[d - h - 1][-1] += sign * c
         for l, terms in grad.items():
             for d, c in terms:
-                for g in range(h + 1, min(m - d, u) + 1):
+                for g in range(h + 1, m - d + 1):
                     block[g + d - h - 1][(g - h - 1) * e + l] += c
         system.extend([x % p for x in row] for row in block)
     return system
@@ -217,30 +217,28 @@ def _zero_counts(system, n: int, p: int):
     return lambda cols: _solution_count([zero_row(col) for col in cols], len(free), p)
 
 
-def _solutions(system, n: int, p: int) -> list:
-    """Every solution in F_p^n of the rows [A | b], as tuples; reduces
-    system in place.
+def _solutions(system, n: int, p: int):
+    """Every solution in F_p^n of the rows [A | b], yielded by families;
+    reduces system in place.
 
     After Gauss-Jordan a pivot unknown is its row's b less the row's terms
-    in the free unknowns.  The free unknowns that some pivot row reads are
-    enumerated here, one pivot solve per assignment; the others take every
-    value of F_p through itertools.product, so an unknown that no pivot row
-    reads, such as a layer that no equation holds, costs no arithmetic.
+    in the free unknowns.  Each assignment of the free unknowns that some
+    pivot row reads yields one family, the n choices (v,) of each unknown it
+    fixes and range(p) of each one no pivot row reads, such as a layer that
+    no equation holds; its solutions are itertools.product(*family).
     """
     pivots = _row_reduce(system, n + 1, p)
     if n in pivots:
-        return []
+        return
     reduced = system[:len(pivots)]
     read = sorted({col for row in reduced for col in range(n) if row[col]} - set(pivots))
     choices = [range(p)] * n
-    out = []
     for values in itertools.product(range(p), repeat=len(read)):
         for col, v in zip(read, values):
             choices[col] = (v,)
         for row, col in zip(reduced, pivots):
             choices[col] = ((row[n] - sum(row[f] * v for f, v in zip(read, values))) % p,)
-        out.extend(itertools.product(*choices))
-    return out
+        yield tuple(choices)
 
 
 def _constant_members(surface, field) -> list:
@@ -305,21 +303,11 @@ def _lift(surface, field, m, coords, sliced=False):
         children = _constant_members(surface, field) if h < 0 else (
             tuple(row + a[l::e] for l, row in enumerate(rows))
             for rows in coords
-            for a in _solutions(_upper_system(surface, rows, u, u, p), e * (u - h), p)
+            for family in _solutions(_upper_system(surface, rows, u, p), e * (u - h), p)
+            for a in itertools.product(*family)
         )
         coords = [rows for rows in children if not sliced or _slice_weight(rows, p)]
     return coords
-
-
-class _Orders(dict):
-    """Row -> coordinate order, filled on first lookup.
-
-    Walk rows hold reduced residues, so c != 0 is the field's zero test.
-    """
-
-    def __missing__(self, row):
-        order = self[row] = next((b for b, c in enumerate(row) if c), ABOVE_M)
-        return order
 
 
 def enumerate_fiber(surface: ToricSurface, config: OracleConfig) -> list[FiberPoint]:
@@ -333,11 +321,31 @@ def enumerate_fiber(surface: ToricSurface, config: OracleConfig) -> list[FiberPo
     _check_guard(surface, config)
     field = prime_field(config.characteristic)
     members = sorted(_lift(surface, field, config.m, [((0,),) * surface.e]))
-    orders = _Orders()
+    # walk rows hold reduced residues, so c != 0 is the field's zero test
+    order = functools.cache(lambda row: next((b for b, c in enumerate(row) if c), ABOVE_M))
     return [
-        FiberPoint(TruncatedJet(field, config.m, rows), tuple(orders[row] for row in rows))
+        FiberPoint(TruncatedJet(field, config.m, rows), tuple(map(order, rows)))
         for rows in members
     ]
+
+
+def _row_orders(row, layers, p: int) -> tuple:
+    """(order, count) pairs of one coordinate, row its coefficients through
+    level h and layers its choices above h in a family of _solutions.  Row
+    first, a fixed nonzero choice at g ends it at order g with p^(free
+    choices after g) completions; a free one gives order g (p-1) times that
+    and goes on through zero, and a coordinate that stays zero is ABOVE_M.
+    A row nonzero through h thus keeps its order under all p^(free choices).
+    """
+    free = sum(len(c) > 1 for c in layers)
+    out = []
+    for g, c in enumerate((*zip(row), *layers)):
+        free -= len(c) > 1
+        if len(c) > 1:
+            out.append((g, (p - 1) * p ** free))
+        elif c[0]:
+            return (*out, (g, p ** free))
+    return (*out, (ABOVE_M, 1))
 
 
 def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
@@ -345,53 +353,40 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
 
     Equals Counter(fp.profile for fp in enumerate_fiber(...)).  The guard is
     charged for the full p^(e(m+1)) space; the walk over the origin then
-    stops at level h = m // 2, and the layers above it are solved.  The walk
-    keeps the torus slice only, and each node it keeps counts as the
-    _slice_weight nodes of its orbit; the layers above h are not sliced.
+    stops at level h = m // 2, keeps the torus slice only, and counts each
+    node it keeps as the _slice_weight nodes of its orbit.
 
-    The layers h+1..m-1: above a member x at level h, the member jets at
-    level m are the solutions of _upper_system in the layers h+1..m with
-    its equations through t^m, as m <= 2h+1.  Over the origin D_0 = 0, so
-    the equation at t^(h+1) is r_(h+1)(x) = 0 alone: x with a zero layer
-    h+1 must be a member at level h+1.  That is tested by the membership
-    loop, which stops at the first binomial that does not vanish and builds
-    no derivative series; most nodes fail it, each after a binomial or two.
-    The layer m enters no equation: the system is solved in the
-    layers h+1..m-1 only, and each solution is a member at level m-1 with
-    all p^e top layers as children.  At m <= 2 there are no such layers,
-    and the residual test is the whole system.
-
-    The top layer is counted, not listed.  A child keeps the order of every
-    nonzero row of its level m-1 member; a zero row takes order m under
-    each of the p-1 nonzero top coefficients and stays above m under zero.
-    With O the zero rows, the profile with order m on T within O and above
-    m on the rest of O thus has (p-1)^|T| p^(e-|O|) children.  Members are
-    grouped by profile, their shape, before this is expanded.
+    Above a member x at level h, the member jets at level m are the
+    solutions of _upper_system in the layers h+1..m, as m <= 2h+1.  Over
+    the origin D_0 = 0, so the layer m enters no equation and the equation
+    at t^(h+1) is r_(h+1)(x) = 0 alone.  The membership loop tests that first:
+    it stops at the first binomial that does not vanish, so most nodes fail
+    after a binomial or two, and at m <= 2 it is the whole system.  The
+    solutions are counted by family (_row_orders), and the families of
+    equal (order, count) pairs are grouped before their product over the
+    coordinates is expanded into profiles.  At m = 0 the one node is the
+    zero constant layer.
     """
     _check_guard(surface, config)
     e, m, p = surface.e, config.m, config.characteristic
-    if m == 0:
-        return Counter({(ABOVE_M,) * e: 1})
     h = m // 2
+    n = e * (m - h)
     field = prime_field(p)
-    orders = _Orders()
     shapes = Counter()
     for rows in _lift(surface, field, h, [((0,),) * e], sliced=True):
         if not _vanishes(_sparse_rows(rows), h + 1, surface, field.is_zero):
             continue
-        upper = [()]
+        families = [(range(p),) * n]
         if h + 1 < m:
-            upper = _solutions(_upper_system(surface, rows, m - 1, m, p), e * (m - 1 - h), p)
+            families = _solutions(_upper_system(surface, rows, m, p), n, p)
         orbit = _slice_weight(rows, p)
-        for a in upper:
-            shapes[tuple(orders[row + a[l::e]] for l, row in enumerate(rows))] += orbit
+        for a in families:
+            shapes[tuple(_row_orders(row, a[l::e], p) for l, row in enumerate(rows))] += orbit
     profiles = Counter()
-    for shape, n in shapes.items():
-        weight = n * p ** sum(o is not ABOVE_M for o in shape)
-        # orders at level m-1 are below m, so order m marks exactly T
-        choices = [(ABOVE_M, m) if o is ABOVE_M else (o,) for o in shape]
-        for profile in itertools.product(*choices):
-            profiles[profile] += weight * (p - 1) ** profile.count(m)
+    for shape, count in shapes.items():
+        for pairs in itertools.product(*shape):
+            profile, weights = zip(*pairs)
+            profiles[profile] += count * math.prod(weights)
     return profiles
 
 
@@ -434,7 +429,7 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
         pairs = _zero_pairs(zero)
         if all(zero) or not pairs:
             continue
-        zeros = _zero_counts(_upper_system(surface, rows, 2 * s - 1, 2 * s - 1, p), n, p)
+        zeros = _zero_counts(_upper_system(surface, rows, 2 * s - 1, p), n, p)
         for i in pairs:
             yield rows, i, zeros(()) - zeros((i - 1,)) - zeros((i,)) + zeros((i - 1, i))
 

@@ -40,16 +40,16 @@ FAMILY = coprime_family(30)
 
 # ((p, q), characteristic, largest m, guard): e = 4 to 8.  The guard is the
 # default unless the cell's full space p^(e(m+1)) exceeds it, as (5,7) at
-# F_2 up to m = 7 (2^40) and at F_5 up to m = 3 (5^20), and (7,9) at F_3 up
-# to m = 3 (3^24) do; the walks there reach far fewer points than that.
+# F_2 up to m = 9 (2^50) and at F_5 up to m = 3 (5^20), and (7,9) at F_3 up
+# to m = 5 (3^36) do; the walks there reach far fewer points than that.
 GUARD = oracle.DEFAULT_GUARD
 ORACLE_GRID = [
     *((pq, ch, mtop, GUARD) for pq in [(2, 3), (3, 5), (2, 5)] for ch, mtop in [(2, 3), (3, 2)]),
-    ((5, 7), 2, 7, 2 ** 40),
+    ((5, 7), 2, 9, 2 ** 50),
     ((5, 7), 3, 2, GUARD),
     ((5, 7), 5, 3, 5 ** 20),
     ((7, 9), 2, 3, GUARD),
-    ((7, 9), 3, 3, 3 ** 24),
+    ((7, 9), 3, 5, 3 ** 36),
     ((19, 30), 2, 2, GUARD),
     ((15, 34), 2, 2, GUARD),
 ]
@@ -185,7 +185,7 @@ def test_criterion_5_oracle_hard_checks():
     t0 = time.monotonic()
     try:
         runs = _oracle_matrix()
-        assert len(runs) == 37
+        assert len(runs) == 41
         for surf, ch, m, profiles, propagation, strata, coverage in runs:
             key = (surf.p, surf.q, ch, m)
             assert propagation, key

@@ -160,6 +160,17 @@ def test_dual_basis_class_rejects_broken_sequences():
         DualBasis(((0, 1), (1, 0), (3, -1), (5, -3)))
 
 
+def test_lattice_constructors_reject_non_integral_entries():
+    # int() would read 2.9 and '2' as 2, the (3,5) basis and a valid entry
+    assert DualBasis(((0, 1), (1, 0), (2, -1), (5, -3))).generators[2] == (2, -1)
+    with pytest.raises(InputRangeError):
+        DualBasis(((0, 1), (1, 0), (2.9, -1), (5, -3)))
+    with pytest.raises(InputRangeError):
+        DualBasis(((0, 1), (1, 0), ('2', -1), (5, -3)))
+    with pytest.raises(InputRangeError):
+        ContinuedFraction((2, 3.5))
+
+
 def test_cone_contains():
     cone = ConePair(3, 5)
     assert cone_contains(cone, (0, 0))

@@ -194,11 +194,11 @@ def test_odometer_check_catches_a_kept_non_member(monkeypatch):
     kept = []
 
     def leaky(system, n, p):
-        layers = real(system, n, p)
-        if not layers and not kept:
+        families = list(real(system, n, p))
+        if not families and not kept:
             kept.append(n)
-            return [(0,) * n]
-        return layers
+            return [((0,),) * n]
+        return families
 
     monkeypatch.setattr(oracle, "_solutions", leaky)
     with pytest.raises(AssertionError):
@@ -381,7 +381,8 @@ def _check_solutions_against_scan(p):
     empty = 0
     for n, system in _random_systems(p, seed=p):
         want = _scan(system, n, p)
-        assert sorted(oracle._solutions([row[:] for row in system], n, p)) == want, (n, system)
+        families = oracle._solutions([row[:] for row in system], n, p)
+        assert sorted(a for fam in families for a in itertools.product(*fam)) == want, (n, system)
         assert oracle._solution_count([row[:] for row in system], n, p) == len(want), (n, system)
         empty += not want
     assert empty
@@ -459,7 +460,7 @@ def _check_refuting_counts(p, q, ch, s):
     assert sorted(images) == sorted(want), (p, q, ch, s)
     for rows, i, count in got:
         above = oracle._lift(surf, field, 2 * s - 1, [rows])
-        system = oracle._upper_system(surf, rows, 2 * s - 1, 2 * s - 1, ch)
+        system = oracle._upper_system(surf, rows, 2 * s - 1, ch)
         zeros = oracle._zero_counts(system, n, ch)
         for cols in [(), (i - 1,), (i,), (i - 1, i)]:
             listed = sum(not any(jet[l][s] for l in cols) for jet in above)
@@ -497,9 +498,9 @@ def test_fiber_walk_checks_one_child_per_member(monkeypatch):
     solves, checks = [], []
     real_system, real_member = oracle._upper_system, oracle.is_member
 
-    def system(surface, rows, u, m, p):
+    def system(surface, rows, m, p):
         solves.append(m)
-        return real_system(surface, rows, u, m, p)
+        return real_system(surface, rows, m, p)
 
     def member(jet, surface):
         checks.append(jet.m)
@@ -606,6 +607,72 @@ def test_profile_count_check_catches_a_slice_on_x3(monkeypatch):
     monkeypatch.setattr(oracle, "_slice_weight", lambda rows, p: real(rows[:1] + rows[2:], p))
     with pytest.raises(AssertionError):
         _check_profiles_against_listing(ToricSurface.from_pair(5, 7), OracleConfig(3, 2))
+
+
+def test_fiber_counts_families_not_solutions(monkeypatch):
+    # (5,7) F_2 m=7: the listing of every solution drew 73,248 of them from
+    # the same 289 solves.  1,425 families are the fiber's, in layers 4..7,
+    # each with its top layer free, and each is read once per coordinate
+    real_solutions, real_orders = oracle._solutions, oracle._row_orders
+    solves, families, reads = [], [], []
+
+    def solutions(system, n, p):
+        solves.append(n)
+        for family in real_solutions(system, n, p):
+            families.append(family)
+            yield family
+
+    def orders(row, layers, p):
+        reads.append(layers)
+        return real_orders(row, layers, p)
+
+    monkeypatch.setattr(oracle, "_solutions", solutions)
+    monkeypatch.setattr(oracle, "_row_orders", orders)
+    oracle.fiber_profiles(ToricSurface.from_pair(5, 7), OracleConfig(2, 7, guard=2 ** 40))
+    assert (len(solves), len(families)) == (289, 1434)
+    fiber = [family for family in families if len(family) == 20]
+    assert len(fiber) == 1425
+    assert {family[-5:] for family in fiber} == {(range(2),) * 5}
+    assert len(reads) == 5 * len(fiber)
+
+
+def _plant_in_row_orders(monkeypatch, edit):
+    """Each finite (order, count) pair of _row_orders goes through edit, as
+    edit(count, p, choice, lower), with choice the coordinate's choice at
+    that order, as a 1-tuple when it is fixed, and lower whether the order
+    is at or below h."""
+    real = oracle._row_orders
+
+    def planted(row, layers, p):
+        choices = (*zip(row), *layers)
+        return tuple((g, count if g is ABOVE_M else edit(count, p, choices[g], g < len(row)))
+                     for g, count in real(row, layers, p))
+
+    monkeypatch.setattr(oracle, "_row_orders", planted)
+
+
+def test_profile_count_check_catches_a_kept_order_without_its_free_layers(monkeypatch):
+    # a row nonzero through h counted once, not under all p^(free) layers
+    _plant_in_row_orders(monkeypatch, lambda count, p, choice, lower: 1 if lower else count)
+    with pytest.raises(AssertionError):
+        _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 2))
+
+
+def test_profile_count_check_catches_p_nonzero_values_of_a_free_layer(monkeypatch):
+    # a free layer that starts a row counted under p values, zero included
+    _plant_in_row_orders(monkeypatch, lambda count, p, choice, lower: (
+        count * p // (p - 1) if len(choice) > 1 else count))
+    with pytest.raises(AssertionError):
+        _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 1))
+
+
+def test_profile_count_check_catches_a_fixed_layer_without_the_free_ones_after_it(monkeypatch):
+    # a fixed nonzero layer that starts a row counted once, not under the
+    # p^(free layers after it)
+    _plant_in_row_orders(monkeypatch, lambda count, p, choice, lower: (
+        1 if not lower and len(choice) == 1 else count))
+    with pytest.raises(AssertionError):
+        _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 3))
 
 
 def test_profile_counts_at_level_zero_are_the_origin():
