@@ -139,12 +139,15 @@ def hj_expand(cone: ConePair) -> ContinuedFraction:
 def hj_evaluate(entries) -> tuple[int, int]:
     """Evaluate a descending continued fraction to a reduced (q, p) pair.
 
-    Accepts a ContinuedFraction or any sequence of entries >= 2; a single
-    entry c evaluates to (c, 1).
+    Accepts a ContinuedFraction or any sequence of integer entries >= 2; a
+    single entry c evaluates to (c, 1).
     """
     if isinstance(entries, ContinuedFraction):
         entries = entries.entries
-    entries = tuple(entries)
+    try:
+        entries = tuple(map(index, entries))
+    except TypeError:
+        raise InputRangeError(f"entries must be integers, got {entries!r}") from None
     if not entries:
         raise InputRangeError("cannot evaluate an empty entry list")
     if any(c < 2 for c in entries):

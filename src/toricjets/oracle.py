@@ -21,15 +21,14 @@ p.  The torus (F_p^*)^2 acts on every layer and keeps all of this, so the
 checks walk one slice: the nodes whose x_1 and x_2 lead with 1 if nonzero.
 
 check_order_propagation walks the slice of the full space to level s-1
-and counts, by ranks, the members at level 2s-1 above each candidate that
-would refute the lemma; fiber_profiles walks the slice over the origin to
-level m // 2 and counts the layers above it by contact profile.  Each
-decision at a node is made in one pass: the fiber's residual test is the
-membership loop, which stops at the first binomial that does not vanish,
-and a candidate's four refuting counts come from one elimination of its
-system.  enumerate_fiber lists every point of the full walk.  Point counts
-over F_p are heuristic evidence for dimensions and are reported as
-experimental; the boolean lemma checks are hard.
+and counts the members at level 2s-1 above each candidate that would
+refute the lemma; fiber_profiles walks the slice over the origin to level
+m // 2 and counts the layers above it by contact profile.  Both count the
+solution families of one elimination per node (_solutions).  The fiber's
+residual test is the membership loop, which stops at the first binomial
+that does not vanish.  enumerate_fiber lists every point of the full walk.
+Point counts over F_p are heuristic evidence for dimensions and are
+reported as experimental; the boolean lemma checks are hard.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
@@ -64,6 +64,11 @@ class OracleConfig:
     guard: int = DEFAULT_GUARD
 
     def __post_init__(self) -> None:
+        try:
+            for name in ("characteristic", "m", "guard"):
+                object.__setattr__(self, name, index(getattr(self, name)))
+        except TypeError:
+            raise InputRangeError(f"config fields must be integers, got {self}") from None
         prime_field(self.characteristic)  # validates primality
         if self.m < 0:
             raise InputRangeError(f"jet level must be >= 0, got {self.m}")
@@ -183,61 +188,35 @@ def _upper_system(surface: ToricSurface, rows, m: int, p: int) -> list:
     return system
 
 
-def _solution_count(system, n: int, p: int) -> int:
-    """Number of solutions in F_p^n of the rows [A | b]: p^(n - rank), or 0
-    when b is a pivot.  Reduces system in place.  The refuting counts call
-    it on at most two rows over the free unknowns of a reduced system (see
-    _zero_counts), so it never repeats an elimination of the full system."""
-    pivots = _row_reduce(system, n + 1, p)
-    return 0 if n in pivots else p ** (n - len(pivots))
-
-
-def _zero_counts(system, n: int, p: int):
-    """Z with Z(cols) the number of solutions in F_p^n of the rows [A | b]
-    that have a_c = 0 for every c in cols; reduces system in place, once.
-
-    After Gauss-Jordan every unknown is an affine function of the free
-    unknowns: a pivot unknown is its row's b less the row's free-column
-    terms, and a free unknown is itself.  So a_c = 0 is one affine row over
-    the free unknowns, and Z(cols) is the solution count of those rows, a
-    rank over |cols| rows; an inconsistent system makes every Z zero.
-    """
-    pivots = _row_reduce(system, n + 1, p)
-    if n in pivots:
-        return lambda cols: 0
-    free = [col for col in range(n) if col not in pivots]
-    pivot_rows = dict(zip(pivots, system))
-
-    def zero_row(col):
-        row = pivot_rows.get(col)
-        if row is None:
-            return [int(f == col) for f in free] + [0]
-        return [row[f] for f in free] + [row[n]]
-
-    return lambda cols: _solution_count([zero_row(col) for col in cols], len(free), p)
-
-
 def _solutions(system, n: int, p: int):
     """Every solution in F_p^n of the rows [A | b], yielded by families;
     reduces system in place.
 
     After Gauss-Jordan a pivot unknown is its row's b less the row's terms
-    in the free unknowns.  Each assignment of the free unknowns that some
-    pivot row reads yields one family, the n choices (v,) of each unknown it
-    fixes and range(p) of each one no pivot row reads, such as a layer that
-    no equation holds; its solutions are itertools.product(*family).
+    in the free unknowns, all right of its pivot.  Each assignment of the
+    free unknowns that some pivot row reads yields one family, the n choices
+    (v,) of each unknown it fixes and range(p) of each one no pivot row
+    reads, such as a layer that no equation holds; its solutions are
+    itertools.product(*family).  A pivot that reads no free unknown is set
+    once, and each other one sums its own terms alone.
     """
     pivots = _row_reduce(system, n + 1, p)
     if n in pivots:
         return
-    reduced = system[:len(pivots)]
-    read = sorted({col for row in reduced for col in range(n) if row[col]} - set(pivots))
     choices = [range(p)] * n
+    affine = []
+    for row, col in zip(system, pivots):
+        terms = [(f, c) for f, c in enumerate(row[col + 1:n], col + 1) if c]
+        if terms:
+            affine.append((col, row[n], terms))
+        else:
+            choices[col] = (row[n],)
+    read = sorted({f for _, _, terms in affine for f, _ in terms})
     for values in itertools.product(range(p), repeat=len(read)):
         for col, v in zip(read, values):
             choices[col] = (v,)
-        for row, col in zip(reduced, pivots):
-            choices[col] = ((row[n] - sum(row[f] * v for f, v in zip(read, values))) % p,)
+        for col, b, terms in affine:
+            choices[col] = ((b - sum(c * choices[f][0] for f, c in terms)) % p,)
         yield tuple(choices)
 
 
@@ -403,11 +382,10 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
     necessarily below s, and some pair x_i, x_(i+1) with 2 <= i <= e-1 zero
     through layer s-1; count is the number of member jets at level 2s-1
     above it with ord x_i = ord x_(i+1) = s.  Those are the solutions of
-    _upper_system with both layer-s entries of the pair nonzero, so by
-    inclusion-exclusion count = Z - Z(a_(s,i) = 0) - Z(a_(s,i+1) = 0) +
-    Z(both), Z counting solutions.  The system is reduced once per
-    candidate (_zero_counts), and every Z of every pair is then a rank of at
-    most two affine rows over its free unknowns.  Every candidate has its
+    _upper_system with both layer-s entries of the pair nonzero, counted
+    off its families (_solutions): the layer-s choices of x_i and x_(i+1)
+    are a[i-1] and a[i], so a family adds the nonzero values of each times
+    the product of the sizes of its other choices.  Every candidate has its
     pair zero at layer 0, and at s = 1 a unit coordinate, so only the points
     of S(F_p) with these properties are walked to level s-1, and only the
     torus slice: a count is the same on every node of an orbit, so the
@@ -429,9 +407,13 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
         pairs = _zero_pairs(zero)
         if all(zero) or not pairs:
             continue
-        zeros = _zero_counts(_upper_system(surface, rows, 2 * s - 1, p), n, p)
-        for i in pairs:
-            yield rows, i, zeros(()) - zeros((i - 1,)) - zeros((i,)) + zeros((i - 1, i))
+        counts = dict.fromkeys(pairs, 0)
+        for a in _solutions(_upper_system(surface, rows, 2 * s - 1, p), n, p):
+            size = math.prod(map(len, a))
+            for i in pairs:
+                x, y = a[i - 1], a[i]
+                counts[i] += size // (len(x) * len(y)) * sum(map(bool, x)) * sum(map(bool, y))
+        yield from ((rows, i, count) for i, count in counts.items())
 
 
 def check_order_propagation(surface: ToricSurface, config: OracleConfig, s: int) -> bool:
@@ -445,9 +427,8 @@ def check_order_propagation(surface: ToricSurface, config: OracleConfig, s: int)
     level s-1, half way: every order up to s-1 is read there, and a member of
     level 2s-1 with ord x_i = ord x_(i+1) = s and a smaller order lies above
     a candidate of _refuting_counts.  The member jets above a candidate are
-    the solutions of one linear system, so they are counted, not listed; a
-    nonzero count refutes the claim, and a negative one, which only a
-    broken count can give, fails it too.
+    the solutions of one linear system, so they are counted by family, not
+    listed, and a nonzero count refutes the claim.
     """
     if s < 1:
         raise InputRangeError(f"s must be >= 1, got {s}")

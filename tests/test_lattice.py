@@ -94,6 +94,10 @@ def test_hj_evaluate_single_entry_and_validation():
         hj_evaluate([])
     with pytest.raises(InputRangeError):
         hj_evaluate([2, 1, 3])
+    # math.gcd would raise TypeError on 3.5 and 2.0, and '3' < 2 on strings
+    for entries in [(2, 3.5), (2.0, 3), ('3', '2')]:
+        with pytest.raises(InputRangeError):
+            hj_evaluate(entries)
 
 
 def test_continued_fraction_entry_validation():
