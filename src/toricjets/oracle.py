@@ -20,13 +20,21 @@ member it reaches costs one pass over the binomials and one elimination mod
 p.  The torus (F_p^*)^2 acts on every layer and keeps all of this, so the
 checks walk one slice: the nodes whose x_1 and x_2 lead with 1 if nonzero.
 
+Over the origin the first step solves nothing: all p^e first layers solve
+J a = 0, and only those on the tangent cone, where the t^2 coefficient of
+every binomial vanishes, have a member above them at level 2 (Ein-Mustata,
+2009).  _first_layers finds those by a search in coordinate order that
+checks each binomial as soon as its coordinates are set, so the checks
+start from them and never list the others.
+
 check_order_propagation walks the slice of the full space to level s-1
 and counts the members at level 2s-1 above each candidate that would
 refute the lemma; fiber_profiles walks the slice over the origin to level
 m // 2 and counts the layers above it by contact profile.  Both count the
 solution families of one elimination per node (_solutions).  The fiber's
 residual test is the membership loop, which stops at the first binomial
-that does not vanish.  enumerate_fiber lists every point of the full walk.
+that does not vanish.  enumerate_fiber lists every point of the full walk
+from the origin, the reference the tests compare the checks against.
 Point counts over F_p are heuristic evidence for dimensions and are
 reported as experimental; the boolean lemma checks are hard.
 """
@@ -42,6 +50,7 @@ from operator import index
 from typing import NamedTuple
 
 from .components import Label, dimension, valid_labels
+from .equations import checked_walk
 from .errors import GuardExceededError, InputRangeError, NonMemberError
 from .jets import (
     ABOVE_M, TruncatedJet, _binomial_series, _sparse_rows, _vanishes, is_member, prime_field,
@@ -117,16 +126,27 @@ class CoverageReport:
     strata: tuple
 
 
+def _full_space(surface: ToricSurface, config: OracleConfig) -> tuple[int, int]:
+    """(p, N) with N = e(m+1): the full coefficient space has p^N points."""
+    return config.characteristic, surface.e * (config.m + 1)
+
+
 def required_budget(surface: ToricSurface, config: OracleConfig) -> int:
     """Size of the full coefficient space p^(e(m+1)) charged against the guard."""
-    return config.characteristic ** (surface.e * (config.m + 1))
+    p, n = _full_space(surface, config)
+    return p ** n
 
 
 def _check_guard(surface: ToricSurface, config: OracleConfig) -> None:
-    required = required_budget(surface, config)
+    """Raise GuardExceededError, with the exact budget as required, when the
+    full space exceeds the guard.  The message writes the budget as p^N:
+    its decimal digits can run to thousands, and past 4,300 of them Python
+    refuses to convert an int to text."""
+    p, n = _full_space(surface, config)
+    required = p ** n
     if required > config.guard:
         raise GuardExceededError(
-            f"enumeration needs {required} points but the guard is "
+            f"enumeration needs {p}^{n} points but the guard is "
             f"{config.guard}; raise the guard to proceed",
             required=required,
         )
@@ -242,20 +262,79 @@ def _constant_members(surface, field) -> list:
     return members
 
 
+# The 0-based coordinates that the torus slice scales to a leading 1: x_1
+# and x_2.  l in (F_p^*)^2 acts by x_j -> l^(u_j) x_j and keeps membership,
+# orders and the rank of every system of the walk (Ishii, J. Algebra 2004);
+# as u_1 = (0, 1) and u_2 = (1, 0), l_2 scales x_1 and l_1 scales x_2 alone.
+# _slice_weight and _first_layers both read it.
+_NORMALIZED = (0, 1)
+
+
 def _slice_weight(rows, p: int) -> int:
-    """The number of walk nodes that rows stands for: 0 unless x_1 and x_2
-    each are zero or lead with 1, and then (p-1)^(number of them nonzero).
-    l in (F_p^*)^2 acts by x_j -> l^(u_j) x_j and keeps membership, orders
-    and the rank of every system of the walk (Ishii, J. Algebra 2004); as
-    u_1 = (0, 1) and u_2 = (1, 0), l_2 scales x_1 and l_1 scales x_2 alone
-    to a leading 1.  Truncation keeps a node in the slice."""
+    """The number of walk nodes that rows stands for: 0 unless each
+    _NORMALIZED row is zero or leads with 1, and then (p-1)^(number of
+    them nonzero).  Truncation keeps a node in the slice."""
     weight = 1
-    for row in rows[:2]:
-        lead = next(filter(None, row), 0)
+    for l in _NORMALIZED:
+        lead = next(filter(None, rows[l]), 0)
         if lead > 1:
             return 0
         weight *= (p - 1) ** lead  # lead is 0 or 1
     return weight
+
+
+def _tangent_cone(surface: ToricSurface) -> list:
+    """The t^2 conditions on a first layer a over the origin, grouped by the
+    0-based coordinate j that each one is checked at.
+
+    Along x = a t every binomial x_(i+1) x_(j+1) - R starts at t^2 with
+    a_i a_j - R(a) if R has degree 2 and a_i a_j if it has more (every
+    monomial has degree >= 2), so the condition is kept as (i, j, minus),
+    with minus = ((k, n),) for R = x_(k+1) x_(n+1) and () for R of higher
+    degree.  The minus monomials are read from equations.checked_walk,
+    the running product's variables listed while its degree is at most 2.
+    R uses only the variables strictly between i and j, so each condition
+    of group j reads coordinates up to j alone.
+    """
+    groups = [[] for _ in range(surface.e)]
+    for i, steps in checked_walk(surface):
+        low, degree = [], 0  # the running product's variables while degree <= 2
+        for j, grow, (k, a) in steps:
+            if grow:
+                degree += grow[1]
+                if degree <= 2:
+                    low += [grow[0] - 1] * grow[1]
+            minus = (tuple(low + [k - 1] * a),) if degree + a == 2 else ()
+            groups[j - 1].append((i - 1, j - 1, minus))
+    return groups
+
+
+def _first_layers(surface, field) -> list:
+    """Rows of the level-1 slice nodes over the origin that have a member
+    above them at level 2: the first layers on the tangent cone, each
+    checked with _vanishes through t^2, so a wrong one raises.
+
+    Over the origin D_0 = 0, so a node x = a t has member children at
+    level 2 exactly when every binomial's t^2 coefficient vanishes along
+    it, and then all p^e of them (Ein-Mustata, 2009).  The search sets the
+    coordinates in order, x_1 and x_2 (_NORMALIZED) to 0 or 1 and the
+    others to any value, the unset ones reading 0, and it drops a partial
+    layer as soon as a condition of _tangent_cone checked at its last
+    coordinate fails.  The dropped nodes have no member above them at
+    level 2, nor at any higher level.
+    """
+    p, e = field.characteristic, surface.e
+    layers = [(0,) * e]
+    for l, checks in enumerate(_tangent_cone(surface)):
+        values = range(2) if l in _NORMALIZED else range(p)
+        layers = [a for a in (x[:l] + (v,) + x[l + 1:] for x in layers for v in values)
+                  if all((a[i] * a[j] - sum(a[k] * a[n] for k, n in minus)) % p == 0
+                         for i, j, minus in checks)]
+    members = [tuple((0, c) for c in a) for a in layers]
+    for rows in members:
+        if not _vanishes(_sparse_rows(rows), 2, surface, field.is_zero):
+            raise NonMemberError(f"the first layer {rows} is off the tangent cone")
+    return members
 
 
 def _lift(surface, field, m, coords, sliced=False):
@@ -273,8 +352,10 @@ def _lift(surface, field, m, coords, sliced=False):
     h = 0 the system is J(x_0) a = 0, the tangent space at the constant
     layer; over the origin J = 0, because every binomial monomial has
     degree >= 2, so the system has rank 0 and its solutions are all p^e
-    layers.  sliced keeps only the children in the torus slice
-    (_slice_weight), so no node outside it is solved.
+    layers, most of them with no member above them at level 2.  The checks
+    therefore start above the origin from _first_layers, and only
+    enumerate_fiber takes this step.  sliced keeps only the children in the
+    torus slice (_slice_weight), so no node outside it is solved.
     """
     p, e = field.characteristic, surface.e
     while coords and (h := len(coords[0][0]) - 1) < m:
@@ -333,17 +414,20 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
     Equals Counter(fp.profile for fp in enumerate_fiber(...)).  The guard is
     charged for the full p^(e(m+1)) space; the walk over the origin then
     stops at level h = m // 2, keeps the torus slice only, and counts each
-    node it keeps as the _slice_weight nodes of its orbit.
+    node it keeps as the _slice_weight nodes of its orbit.  At m >= 2 it
+    starts from the first layers on the tangent cone (_first_layers): the
+    others have no member above them at level 2 <= m, so they add nothing.
 
     Above a member x at level h, the member jets at level m are the
     solutions of _upper_system in the layers h+1..m, as m <= 2h+1.  Over
     the origin D_0 = 0, so the layer m enters no equation and the equation
     at t^(h+1) is r_(h+1)(x) = 0 alone.  The membership loop tests that first:
     it stops at the first binomial that does not vanish, so most nodes fail
-    after a binomial or two, and at m <= 2 it is the whole system.  The
-    solutions are counted by family (_row_orders), and the families of
+    after a binomial or two and are never eliminated.  At m <= 2 it is the
+    whole system, which the first layers pass by construction at m = 2.
+    The solutions are counted by family (_row_orders), and the families of
     equal (order, count) pairs are grouped before their product over the
-    coordinates is expanded into profiles.  At m = 0 the one node is the
+    coordinates is expanded into profiles.  At m <= 1 the one node is the
     zero constant layer.
     """
     _check_guard(surface, config)
@@ -352,7 +436,8 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
     n = e * (m - h)
     field = prime_field(p)
     shapes = Counter()
-    for rows in _lift(surface, field, h, [((0,),) * e], sliced=True):
+    start = _first_layers(surface, field) if h else [((0,),) * e]
+    for rows in _lift(surface, field, h, start, sliced=True):
         if not _vanishes(_sparse_rows(rows), h + 1, surface, field.is_zero):
             continue
         families = [(range(p),) * n]
@@ -389,20 +474,24 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
     pair zero at layer 0, and at s = 1 a unit coordinate, so only the points
     of S(F_p) with these properties are walked to level s-1, and only the
     torus slice: a count is the same on every node of an orbit, so the
-    candidates are one per orbit, unweighted.  config is at level m = 2s-1.
+    candidates are one per orbit, unweighted.  At s >= 2 the origin's
+    children are the first layers on the tangent cone (_first_layers) in
+    place of all p^e: a candidate above any other first layer has no member
+    above it at level 2 <= 2s-1, so its count is 0.  config is at level
+    m = 2s-1.
     """
     e, p = surface.e, config.characteristic
+    origin = ((0,),) * e
 
     def may_start(rows):
-        zero = [not row[0] for row in rows]
-        return _zero_pairs(zero) and (s > 1 or not all(zero)) and _slice_weight(rows, p)
+        return rows != origin and _zero_pairs([not row[0] for row in rows]) and _slice_weight(rows, p)
 
     field = prime_field(p)
     start = [rows for rows in _constant_members(surface, field) if may_start(rows)]
-    if not start:
-        return
+    above_origin = _first_layers(surface, field) if s > 1 else []
     n = e * s
-    for rows in _lift(surface, field, s - 1, start, sliced=True):
+    for rows in itertools.chain(_lift(surface, field, s - 1, start, sliced=True),
+                                _lift(surface, field, s - 1, above_origin, sliced=True)):
         zero = [not any(row) for row in rows]
         pairs = _zero_pairs(zero)
         if all(zero) or not pairs:

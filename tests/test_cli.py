@@ -594,7 +594,7 @@ def test_verify_guard_flag(capsys):
     code, out, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "2",
                                    "--field", "3", "--guard", "100"])
     assert code == 3
-    assert "531441" in err
+    assert "3^12 points" in err
     assert "raise the guard" in err
 
 
@@ -622,6 +622,34 @@ def test_verify_refuses_before_the_symbolic_suite(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert "prime" in err
     assert time.monotonic() - t0 < 0.5
+
+
+def _check_refusal_past_the_digit_limit(capsys):
+    # (5,7) F_7 m=1017 needs 7^5090 points, 4,302 decimal digits: one past
+    # the most that Python converts an int to text
+    t0 = time.monotonic()
+    code, out, err = _run(capsys, ["verify", "--p", "5", "--q", "7", "--field", "7",
+                                   "--m", "1017"])
+    assert time.monotonic() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "7^5090 points" in err and len(err) < 200
+
+
+def test_verify_refuses_a_budget_past_the_int_to_text_limit(capsys):
+    _check_refusal_past_the_digit_limit(capsys)
+
+
+def test_refusal_check_catches_a_budget_written_as_an_integer(capsys, monkeypatch):
+    # the message writes p^N as the decimal integer it stands for, to the power 1
+    real = oracle._full_space
+
+    def as_integer(surface, config):
+        p, n = real(surface, config)
+        return p ** n, 1
+
+    monkeypatch.setattr(oracle, "_full_space", as_integer)
+    with pytest.raises((AssertionError, ValueError)):
+        _check_refusal_past_the_digit_limit(capsys)
 
 
 # e = 5 with an s = 2 stratum check; every check passes unplanted (see the golden)

@@ -24,6 +24,7 @@ from toricjets import (
     required_budget,
 )
 from conftest import plant_in_series
+from test_acceptance import ORACLE_GRID
 
 
 def test_config_validation():
@@ -53,7 +54,7 @@ def test_guard_rejection_carries_required_count():
     with pytest.raises(GuardExceededError) as exc:
         enumerate_fiber(surf, cfg)
     assert exc.value.required == 3 ** 12
-    assert "531441" in str(exc.value)
+    assert "3^12 points" in str(exc.value)
     assert "raise the guard" in str(exc.value)
 
 
@@ -172,10 +173,15 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
             verdict = check_order_propagation(surf, cfg, s)
         # the walk stops at level s-1, from the constant layers that may
         # start a candidate, one node of each torus orbit; the layers
-        # s..2s-1 above it are solved
+        # s..2s-1 above it are solved.  At s <= 2, the s of these cells, it
+        # walks only the nodes with a member above them at level s: over
+        # the origin the first layers off the tangent cone are never walked
+        assert s <= 2
+        lifting = {tuple(row[:s] for row in rows)
+                   for rows in _odometer_members(surf, ch, s, over_origin=False)}
         assert _unslice(surf, ch, walked) == [
             rows for rows in _odometer_members(surf, ch, s - 1, over_origin=False)
-            if _may_start([row[0] for row in rows], s)
+            if _may_start([row[0] for row in rows], s) and rows in lifting
         ]
         assert verdict == _odometer_propagation(surf, ch, s)
         assert verdict
@@ -359,6 +365,96 @@ def test_sliced_walk_expands_to_the_full_walk(p, q, ch, mtop):
     _check_slice_expands_to_the_walk(p, q, ch, mtop)
 
 
+def _in_slice(rows):
+    """The slice as the walk should keep it: x_1 and x_2 zero or leading
+    with 1."""
+    return all(next(filter(None, row), 0) <= 1 for row in rows[:2])
+
+
+def _check_first_layers(cells):
+    """The tangent-cone search against the level-1 walk from the origin:
+    its layers are the slice nodes there whose t^2 residual vanishes, and
+    every slice node it drops has no member above it at level 2."""
+    for p, q, ch in cells:
+        surf, field = ToricSurface.from_pair(p, q), prime_field(ch)
+        got = oracle._first_layers(surf, field)
+        sliced = [rows for rows in oracle._lift(surf, field, 1, [((0,),) * surf.e])
+                  if _in_slice(rows)]
+        kept = [rows for rows in sliced
+                if jets._vanishes(jets._sparse_rows(rows), 2, surf, field.is_zero)]
+        assert sorted(got) == sorted(kept), (p, q, ch)
+        for rows in set(sliced) - set(got):
+            assert not oracle._lift(surf, field, 2, [rows]), (p, q, ch, rows)
+
+
+# the surface and field of every criterion-5, odometer and shortcut cell
+FIRST_LAYER_CELLS = sorted({
+    *((p, q, ch) for (p, q), ch, _, _ in ORACLE_GRID),
+    *((p, q, ch) for p, q, ch, _ in ODOMETER_CELLS + SHORTCUT_CELLS)})
+
+
+@pytest.mark.parametrize("p,q,ch", FIRST_LAYER_CELLS)
+def test_first_layers_are_the_slice_nodes_on_the_tangent_cone(p, q, ch):
+    _check_first_layers([(p, q, ch)])
+
+
+def _plant_in_tangent_cone(monkeypatch, edit, recheck=False):
+    """The groups of conditions that _tangent_cone returns go through edit.
+    Unless recheck, the search's own re-check through t^2 is off, so only
+    the comparison with the walk can catch a wrong layer."""
+    real = oracle._tangent_cone
+    monkeypatch.setattr(oracle, "_tangent_cone", lambda surface: edit(real(surface)))
+    if not recheck:
+        monkeypatch.setattr(oracle, "_vanishes", lambda rows, m, surface, is_zero: True)
+
+
+def test_first_layer_check_catches_a_binomial_checked_one_coordinate_early(monkeypatch):
+    # binomial (i, j) checked once x_(j-1) is set, reading x_j as 0
+    _plant_in_tangent_cone(monkeypatch, lambda groups: groups[1:] + [[]])
+    with pytest.raises(AssertionError):
+        _check_first_layers(FIRST_LAYER_CELLS)
+
+
+def test_first_layer_check_catches_an_ignored_degree_2_minus_monomial(monkeypatch):
+    # a_i a_j = 0 for every binomial, as if no minus monomial had degree 2
+    _plant_in_tangent_cone(monkeypatch, lambda groups: [
+        [(i, j, ()) for i, j, _ in group] for group in groups])
+    with pytest.raises(AssertionError):
+        _check_first_layers([(5, 12, 3)])
+
+
+def test_first_layer_check_catches_a_slice_on_x3(monkeypatch):
+    # x_3 narrowed to 0 or 1 in place of x_2
+    monkeypatch.setattr(oracle, "_NORMALIZED", (0, 2))
+    with pytest.raises(AssertionError):
+        _check_first_layers(FIRST_LAYER_CELLS)
+
+
+def test_first_layer_recheck_refuses_a_layer_off_the_cone(monkeypatch):
+    # no condition checked: every slice node is found, and the t^2 re-check
+    # of the first one off the cone raises
+    _plant_in_tangent_cone(monkeypatch, lambda groups: [[] for _ in groups], recheck=True)
+    with pytest.raises(NonMemberError):
+        oracle._first_layers(ToricSurface.from_pair(3, 5), prime_field(2))
+
+
+def test_fiber_solves_only_the_first_layers_on_the_tangent_cone(monkeypatch):
+    # (19,30) F_7 m=3: 93 of the 67,228 level-1 slice nodes over the origin
+    # are on the tangent cone, and the fiber solves one system above each;
+    # order propagation at s = 2 solves 407 systems, lifts and candidates
+    surf = ToricSurface.from_pair(19, 30)
+    cfg = OracleConfig(7, 3, guard=7 ** 28)
+    assert len(oracle._first_layers(surf, prime_field(7))) == 93
+    solves = []
+    real = oracle._upper_system
+    monkeypatch.setattr(oracle, "_upper_system", lambda *args: solves.append(args[2]) or real(*args))
+    oracle.fiber_profiles(surf, cfg)
+    assert solves == [3] * 93
+    solves.clear()
+    assert check_order_propagation(surf, cfg, 2)
+    assert len(solves) == 407
+
+
 def _random_systems(p, seed):
     """Seeded (n, rows [A | b]) over F_p for n = 0..5 unknowns and up to
     three random rows; each system with two rows or more comes again with a
@@ -428,23 +524,36 @@ def test_solution_check_catches_a_constant_pivot_left_free(monkeypatch):
 def _check_refuting_counts(p, q, ch, s):
     """Every candidate of order propagation at s and each of its zero pairs,
     read off the full-space walk to level s-1; each count of solutions
-    against the members listed above the candidate at level 2s-1."""
+    against the members listed above the candidate at level 2s-1.  The
+    walk drops the first layers over the origin with no member above them
+    at level 2, which at s <= 2 are the candidates with no member above
+    them at level s; a dropped candidate must have a count of 0."""
+    assert s <= 2
     surf = ToricSurface.from_pair(p, q)
     field = prime_field(ch)
     e = surf.e
-    want = []
+    want, dropped = [], []
     for rows in oracle._lift(surf, field, s - 1, [((),) * e]):
         zero = [not any(row) for row in rows]
         if not all(zero):
-            want += [(rows, i) for i in range(2, e) if zero[i - 1] and zero[i]]
+            pairs = [(rows, i) for i in range(2, e) if zero[i - 1] and zero[i]]
+            if oracle._lift(surf, field, s, [rows]):
+                want += pairs
+            else:
+                dropped += pairs
     got = list(oracle._refuting_counts(surf, OracleConfig(ch, 2 * s - 1), s))
     # one candidate of each torus orbit
     images = [(image, i) for rows, i, _ in got for image in _torus_images(surf, ch, rows)]
     assert sorted(images) == sorted(want), (p, q, ch, s)
-    for rows, i, count in got:
+
+    def both(rows, i):
         above = oracle._lift(surf, field, 2 * s - 1, [rows])
-        both = sum(bool(jet[i - 1][s] and jet[i][s]) for jet in above)
-        assert count == both, (rows, i)
+        return sum(bool(jet[i - 1][s] and jet[i][s]) for jet in above)
+
+    for rows, i, count in got:
+        assert count == both(rows, i), (rows, i)
+    for rows, i in dropped:
+        assert both(rows, i) == 0, (rows, i)
 
 
 # every s with 2s-1 <= m of the odometer and shortcut cells
@@ -537,13 +646,50 @@ def test_profile_count_check_catches_a_void_second_layer_condition(monkeypatch):
         _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 3))
 
 
+def _check_fiber_solves(monkeypatch, surf, cfg):
+    """The profile counts against the listing, and the fiber's solves at
+    level m against its level-h nodes, h = m // 2: one per slice node over
+    the origin whose residual at t^(h+1) vanishes, and none at m <= 2.  A
+    node whose residual does not vanish makes an inconsistent system, so a
+    weaker residual test costs solves but moves no count."""
+    _check_profiles_against_listing(surf, cfg)
+    field, h, m = prime_field(cfg.characteristic), cfg.m // 2, cfg.m
+    kept = [rows for rows in oracle._lift(surf, field, h, [((0,),) * surf.e])
+            if _in_slice(rows)
+            and jets._vanishes(jets._sparse_rows(rows), h + 1, surf, field.is_zero)]
+    solves = []
+    real = oracle._upper_system
+
+    def system(surface, rows, level, p):
+        solves.append(level)
+        return real(surface, rows, level, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_upper_system", system)
+        oracle.fiber_profiles(surf, cfg)
+    assert solves.count(m) == (len(kept) if h + 1 < m else 0), (surf.p, surf.q, cfg)
+
+
+# m = 4 and 5, where the residual at t^3 is tested on the level-2 nodes
+# above the first layers
+RESIDUAL_CELLS = [(3, 5, 2, 4), (2, 5, 2, 4), (2, 3, 2, 5), (5, 7, 2, 4)]
+
+
+@pytest.mark.parametrize("p,q,ch,m", RESIDUAL_CELLS)
+def test_fiber_solves_the_nodes_whose_residual_vanishes(monkeypatch, p, q, ch, m):
+    _check_fiber_solves(monkeypatch, ToricSurface.from_pair(p, q), OracleConfig(ch, m))
+
+
+def _check_residual_cells(monkeypatch):
+    for p, q, ch, m in RESIDUAL_CELLS:
+        _check_fiber_solves(monkeypatch, ToricSurface.from_pair(p, q), OracleConfig(ch, m))
+
+
 def test_profile_count_check_catches_a_dropped_residual_filter(monkeypatch):
-    # once the listing is taken, the residual test keeps every node, so
-    # every member below the top layer is counted as having all p^e children
-    _plant_after_listing(monkeypatch, lambda: monkeypatch.setattr(
-        oracle, "_vanishes", lambda rows, m, surface, is_zero: True))
+    # the residual test keeps every node, so every level-h node is solved
+    monkeypatch.setattr(oracle, "_vanishes", lambda rows, m, surface, is_zero: True)
     with pytest.raises(AssertionError):
-        _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 2))
+        _check_residual_cells(monkeypatch)
 
 
 def _keep_at_first_zero(rows, m, surface, is_zero):
@@ -561,14 +707,11 @@ def _keep_at_first_zero(rows, m, surface, is_zero):
 
 
 def test_profile_count_check_catches_an_early_exit_on_a_vanishing_binomial(monkeypatch):
-    # the first binomial walked decides; it shows at F_3 and m = 2, where a
-    # binomial whose sides differ can vanish (2 * 2 = 1), and on no F_2 cell.
-    # The slice fixes the leading coefficients of x_1 and x_2 to 1, which
-    # hides it on (3,5), (5,7) and (7,9) over F_3 and F_5, but not on (5,12)
-    _plant_after_listing(monkeypatch, lambda: monkeypatch.setattr(
-        oracle, "_vanishes", _keep_at_first_zero))
+    # the first binomial walked decides, so nodes that a later binomial
+    # rejects are solved
+    monkeypatch.setattr(oracle, "_vanishes", _keep_at_first_zero)
     with pytest.raises(AssertionError):
-        _check_profiles_against_listing(ToricSurface.from_pair(5, 12), OracleConfig(3, 2))
+        _check_residual_cells(monkeypatch)
 
 
 def test_profile_count_check_catches_a_dropped_slice_weight(monkeypatch):
@@ -580,17 +723,19 @@ def test_profile_count_check_catches_a_dropped_slice_weight(monkeypatch):
 
 
 def test_profile_count_check_catches_a_slice_on_x3(monkeypatch):
-    # x_3 normalized in place of x_2, though no torus element scales it alone
-    real = oracle._slice_weight
-    monkeypatch.setattr(oracle, "_slice_weight", lambda rows, p: real(rows[:1] + rows[2:], p))
+    # x_3 normalized in place of x_2, though no torus element scales it
+    # alone, by the first-layer search and _slice_weight alike
+    monkeypatch.setattr(oracle, "_NORMALIZED", (0, 2))
     with pytest.raises(AssertionError):
         _check_profiles_against_listing(ToricSurface.from_pair(5, 7), OracleConfig(3, 2))
 
 
 def test_fiber_counts_families_not_solutions(monkeypatch):
     # (5,7) F_2 m=7: the listing of every solution drew 73,248 of them from
-    # the same 289 solves.  1,425 families are the fiber's, in layers 4..7,
-    # each with its top layer free, and each is read once per coordinate
+    # the 289 solves of the walk from the origin.  Walked from the 6 first
+    # layers on the tangent cone, it makes 262 solves with 1,433 families.
+    # 1,425 families are the fiber's, in layers 4..7, each with its top
+    # layer free, and each is read once per coordinate
     real_solutions, real_orders = oracle._solutions, oracle._row_orders
     solves, families, reads = [], [], []
 
@@ -607,7 +752,7 @@ def test_fiber_counts_families_not_solutions(monkeypatch):
     monkeypatch.setattr(oracle, "_solutions", solutions)
     monkeypatch.setattr(oracle, "_row_orders", orders)
     oracle.fiber_profiles(ToricSurface.from_pair(5, 7), OracleConfig(2, 7, guard=2 ** 40))
-    assert (len(solves), len(families)) == (289, 1434)
+    assert (len(solves), len(families)) == (262, 1433)
     fiber = [family for family in families if len(family) == 20]
     assert len(fiber) == 1425
     assert {family[-5:] for family in fiber} == {(range(2),) * 5}
