@@ -18,7 +18,10 @@ constant layer is nonlinear, and its members are the p^2 points of S(F_p).
 Above it a walk doubles its level at each step, 0, 1, 3, 7, ..., and each
 member it reaches costs one pass over the binomials and one elimination mod
 p.  The torus (F_p^*)^2 acts on every layer and keeps all of this, so the
-checks walk one slice: the nodes whose x_1 and x_2 lead with 1 if nonzero.
+checks walk one slice: the canonical node of each orbit, which leads its
+first nonzero row with 1 and each later one with the least discrete log
+that the torus left over can reach, and which stands for its orbit's
+size (_orbit_weight).
 
 Over the origin the first step solves nothing: all p^e first layers solve
 J a = 0, and only those on the tangent cone, where the t^2 coefficient of
@@ -240,7 +243,7 @@ def _solutions(system, n: int, p: int):
         yield tuple(choices)
 
 
-def _constant_members(surface, field) -> list:
+def _constant_members(surface, field, sliced=False) -> list:
     """Rows of the member jets at level 0: the p^2 points of S(F_p), each
     checked with is_member, so a wrong one raises.
 
@@ -248,9 +251,11 @@ def _constant_members(surface, field) -> list:
     1993, 3.1): x_j = l_1^(a_j) l_2^(b_j) for u_j = (a_j, b_j) and l in
     (F_p^*)^2, with exponents mod p-1, so b_e = -p needs no inverse; x_1
     alone or x_e alone a unit, the orbits of the rays u_1 and u_e; the origin.
+    sliced keeps one point of each orbit, l = (1, 1) and the unit 1, which
+    is the orbit's canonical node (_orbit_weight).
     """
     p, e = field.characteristic, surface.e
-    units = range(1, p)
+    units = (1,) if sliced else range(1, p)
     points = [tuple(l1 ** (a % (p - 1)) * l2 ** (b % (p - 1)) % p for a, b in surface.basis)
               for l1 in units for l2 in units]
     points += [(c,) + (0,) * (e - 1) for c in units] + [(0,) * (e - 1) + (c,) for c in units]
@@ -262,24 +267,62 @@ def _constant_members(surface, field) -> list:
     return members
 
 
-# The 0-based coordinates that the torus slice scales to a leading 1: x_1
-# and x_2.  l in (F_p^*)^2 acts by x_j -> l^(u_j) x_j and keeps membership,
-# orders and the rank of every system of the walk (Ishii, J. Algebra 2004);
-# as u_1 = (0, 1) and u_2 = (1, 0), l_2 scales x_1 and l_1 scales x_2 alone.
-# _slice_weight and _first_layers both read it.
-_NORMALIZED = (0, 1)
+@functools.cache
+def _discrete_logs(p: int) -> list:
+    """log[c] for each c in F_p^*, to the least primitive root mod p.  It
+    costs O(p), so only _orbit_weight builds it, once a walk has passed
+    the guard."""
+    for g in range(2, p):
+        log, c = [None] * p, 1
+        for k in range(p - 1):
+            if log[c] is not None:  # g has order k < p-1
+                break
+            log[c], c = k, c * g % p
+        else:
+            return log
 
 
-def _slice_weight(rows, p: int) -> int:
-    """The number of walk nodes that rows stands for: 0 unless each
-    _NORMALIZED row is zero or leads with 1, and then (p-1)^(number of
-    them nonzero).  Truncation keeps a node in the slice."""
-    weight = 1
-    for l in _NORMALIZED:
-        lead = next(filter(None, rows[l]), 0)
-        if lead > 1:
+def _orbit_weight(rows, surface, p: int) -> int:
+    """The size of the torus orbit of the walk node rows if rows is the
+    orbit's canonical node, and 0 if it is not.
+
+    l in (F_p^*)^2 acts by x_j -> l^(u_j) x_j and keeps membership, orders
+    and the rank of every system of the walk (Ishii, J. Algebra 2004).  In
+    discrete logs, n = p-1, it adds <u_j, t> mod n to the log of x_j's
+    lead for t in (Z/n)^2.  The nonzero rows are visited by (order, index).
+    The first one's u is primitive, so the torus moves its lead anywhere:
+    the canonical lead is 1, and the torus left over is t = tau (-b, a),
+    u = (a, b), tau in Z/n, which moves a later row j by tau det(u, u_j).
+    With the leftover tau running over the multiples of k, that image is
+    the multiples of g = gcd(k det(u, u_j), n), of size n/g: the canonical
+    lead is the one whose log is least in its coset, below g, and the
+    leftover narrows to the multiples of k n/g.  The weight, n times the
+    image sizes, is the orbit size.  A truncation keeps the leads of the
+    rows nonzero at the lower level, and they come first in that order, so
+    the canonical nodes are closed under truncation, as the walk needs.
+    Over F_2 the torus is trivial.
+    """
+    if p == 2:
+        return 1
+    n, log = p - 1, _discrete_logs(p)
+    leads = []
+    for j, row in enumerate(rows):
+        for o, lead in enumerate(row):
+            if lead:
+                leads.append((o, j, lead))
+                break
+    leads.sort()
+    weight, k, first = 1, 1, None
+    for _, j, lead in leads:
+        if first is None:
+            first, g = surface.basis[j], 1
+        else:
+            (a, b), (c, d) = first, surface.basis[j]
+            g = math.gcd(k * (a * d - b * c), n)
+            k *= n // g
+        if log[lead] >= g:
             return 0
-        weight *= (p - 1) ** lead  # lead is 0 or 1
+        weight *= n // g
     return weight
 
 
@@ -310,26 +353,30 @@ def _tangent_cone(surface: ToricSurface) -> list:
 
 
 def _first_layers(surface, field) -> list:
-    """Rows of the level-1 slice nodes over the origin that have a member
-    above them at level 2: the first layers on the tangent cone, each
-    checked with _vanishes through t^2, so a wrong one raises.
+    """Rows of the canonical level-1 nodes over the origin that have a
+    member above them at level 2: one first layer on the tangent cone per
+    torus orbit, each checked with _vanishes through t^2, so a wrong one
+    raises.
 
     Over the origin D_0 = 0, so a node x = a t has member children at
     level 2 exactly when every binomial's t^2 coefficient vanishes along
     it, and then all p^e of them (Ein-Mustata, 2009).  The search sets the
-    coordinates in order, x_1 and x_2 (_NORMALIZED) to 0 or 1 and the
-    others to any value, the unset ones reading 0, and it drops a partial
+    coordinates in order, the unset ones reading 0, and drops a partial
     layer as soon as a condition of _tangent_cone checked at its last
-    coordinate fails.  The dropped nodes have no member above them at
+    coordinate fails or, that coordinate nonzero, the partial layer is not
+    canonical (_orbit_weight).
+    Every row of a first layer has order 1, so _orbit_weight visits them in
+    coordinate order and a layer is canonical exactly when each of its
+    partial layers is.  The dropped nodes have no member above them at
     level 2, nor at any higher level.
     """
     p, e = field.characteristic, surface.e
     layers = [(0,) * e]
     for l, checks in enumerate(_tangent_cone(surface)):
-        values = range(2) if l in _NORMALIZED else range(p)
-        layers = [a for a in (x[:l] + (v,) + x[l + 1:] for x in layers for v in values)
+        layers = [a for a in (x[:l] + (v,) + x[l + 1:] for x in layers for v in range(p))
                   if all((a[i] * a[j] - sum(a[k] * a[n] for k, n in minus)) % p == 0
-                         for i, j, minus in checks)]
+                         for i, j, minus in checks)
+                  and (not a[l] or _orbit_weight(tuple((0, c) for c in a), surface, p))]
     members = [tuple((0, c) for c in a) for a in layers]
     for rows in members:
         if not _vanishes(_sparse_rows(rows), 2, surface, field.is_zero):
@@ -354,19 +401,20 @@ def _lift(surface, field, m, coords, sliced=False):
     degree >= 2, so the system has rank 0 and its solutions are all p^e
     layers, most of them with no member above them at level 2.  The checks
     therefore start above the origin from _first_layers, and only
-    enumerate_fiber takes this step.  sliced keeps only the children in the
-    torus slice (_slice_weight), so no node outside it is solved.
+    enumerate_fiber takes this step.  sliced walks the torus slice: one
+    point of each orbit of S(F_p), and at each step only the canonical
+    children (_orbit_weight), so no other node is solved.
     """
     p, e = field.characteristic, surface.e
     while coords and (h := len(coords[0][0]) - 1) < m:
         u = min(2 * h + 1, m)
-        children = _constant_members(surface, field) if h < 0 else (
+        children = _constant_members(surface, field, sliced) if h < 0 else (
             tuple(row + a[l::e] for l, row in enumerate(rows))
             for rows in coords
             for family in _solutions(_upper_system(surface, rows, u, p), e * (u - h), p)
             for a in itertools.product(*family)
         )
-        coords = [rows for rows in children if not sliced or _slice_weight(rows, p)]
+        coords = [rows for rows in children if not sliced or _orbit_weight(rows, surface, p)]
     return coords
 
 
@@ -413,22 +461,25 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
 
     Equals Counter(fp.profile for fp in enumerate_fiber(...)).  The guard is
     charged for the full p^(e(m+1)) space; the walk over the origin then
-    stops at level h = m // 2, keeps the torus slice only, and counts each
-    node it keeps as the _slice_weight nodes of its orbit.  At m >= 2 it
-    starts from the first layers on the tangent cone (_first_layers): the
-    others have no member above them at level 2 <= m, so they add nothing.
+    stops at level h = m // 2, keeps one canonical node per torus orbit,
+    and counts each node it keeps as the _orbit_weight nodes of its orbit.
+    At m >= 2 it starts from the first layers on the tangent cone
+    (_first_layers): the others have no member above them at level 2 <= m,
+    so they add nothing.
 
     Above a member x at level h, the member jets at level m are the
     solutions of _upper_system in the layers h+1..m, as m <= 2h+1.  Over
     the origin D_0 = 0, so the layer m enters no equation and the equation
-    at t^(h+1) is r_(h+1)(x) = 0 alone.  The membership loop tests that first:
-    it stops at the first binomial that does not vanish, so most nodes fail
-    after a binomial or two and are never eliminated.  At m <= 2 it is the
-    whole system, which the first layers pass by construction at m = 2.
-    The solutions are counted by family (_row_orders), and the families of
-    equal (order, count) pairs are grouped before their product over the
-    coordinates is expanded into profiles.  At m <= 1 the one node is the
-    zero constant layer.
+    at t^(h+1) is r_(h+1)(x) = 0 alone.  The membership loop tests that
+    first on the lifted nodes, h >= 2: it stops at the first binomial that
+    does not vanish, so most nodes fail after a binomial or two and are
+    never eliminated.  At h = 1 the nodes are the first layers, which
+    _first_layers has checked through t^2 already, and at h = 0 the one
+    node is the origin, whose residual at t is 0.  At m <= 2 that test is
+    the whole system.  The solutions are counted by family (_row_orders),
+    and the families of equal (order, count) pairs are grouped before their
+    product over the coordinates is expanded into profiles.  At m <= 1 the
+    one node is the zero constant layer.
     """
     _check_guard(surface, config)
     e, m, p = surface.e, config.m, config.characteristic
@@ -438,12 +489,12 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
     shapes = Counter()
     start = _first_layers(surface, field) if h else [((0,),) * e]
     for rows in _lift(surface, field, h, start, sliced=True):
-        if not _vanishes(_sparse_rows(rows), h + 1, surface, field.is_zero):
+        if h > 1 and not _vanishes(_sparse_rows(rows), h + 1, surface, field.is_zero):
             continue
         families = [(range(p),) * n]
         if h + 1 < m:
             families = _solutions(_upper_system(surface, rows, m, p), n, p)
-        orbit = _slice_weight(rows, p)
+        orbit = _orbit_weight(rows, surface, p)
         for a in families:
             shapes[tuple(_row_orders(row, a[l::e], p) for l, row in enumerate(rows))] += orbit
     profiles = Counter()
@@ -474,20 +525,20 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
     pair zero at layer 0, and at s = 1 a unit coordinate, so only the points
     of S(F_p) with these properties are walked to level s-1, and only the
     torus slice: a count is the same on every node of an orbit, so the
-    candidates are one per orbit, unweighted.  At s >= 2 the origin's
-    children are the first layers on the tangent cone (_first_layers) in
-    place of all p^e: a candidate above any other first layer has no member
-    above it at level 2 <= 2s-1, so its count is 0.  config is at level
-    m = 2s-1.
+    candidates are the canonical nodes (_orbit_weight), one per orbit,
+    unweighted.  At s >= 2 the origin's children are the first layers on
+    the tangent cone (_first_layers) in place of all p^e: a candidate above
+    any other first layer has no member above it at level 2 <= 2s-1, so its
+    count is 0.  config is at level m = 2s-1.
     """
     e, p = surface.e, config.characteristic
     origin = ((0,),) * e
 
     def may_start(rows):
-        return rows != origin and _zero_pairs([not row[0] for row in rows]) and _slice_weight(rows, p)
+        return rows != origin and _zero_pairs([not row[0] for row in rows])
 
     field = prime_field(p)
-    start = [rows for rows in _constant_members(surface, field) if may_start(rows)]
+    start = [rows for rows in _constant_members(surface, field, sliced=True) if may_start(rows)]
     above_origin = _first_layers(surface, field) if s > 1 else []
     n = e * s
     for rows in itertools.chain(_lift(surface, field, s - 1, start, sliced=True),

@@ -598,6 +598,21 @@ def test_verify_guard_flag(capsys):
     assert "raise the guard" in err
 
 
+def test_verify_refuses_a_large_field_before_any_table(capsys, monkeypatch):
+    # the oracle's discrete-log table costs O(p), so it is built only once
+    # a walk has passed the guard: a refusal at p = 10^9+7 stays cheap
+    built = []
+    real = oracle._discrete_logs
+    monkeypatch.setattr(oracle, "_discrete_logs", lambda p: built.append(p) or real(p))
+    t0 = time.monotonic()
+    code, out, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
+                                   "--field", "1000000007", "--guard", "1"])
+    assert time.monotonic() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "raise the guard" in err
+    assert built == []
+
+
 def test_verify_rejects_composite_field(capsys):
     code, _, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
                                  "--field", "6"])

@@ -1,7 +1,9 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import random
+import textwrap
 from collections import Counter
 
 import pytest
@@ -132,24 +134,27 @@ def _may_start(x0, s):
     return any(zero[i - 1] and zero[i] for i in range(2, len(x0))) and (s > 1 or not all(zero))
 
 
-def _torus_images(surf, ch, rows):
-    """The walk nodes that the slice node rows stands for: its images under
-    (l_1, l_2) in (F_ch^*)^2 acting by x_j -> l_1^(a_j) l_2^(b_j) x_j, for
-    u_j = (a_j, b_j), with l_2 = 1 when x_1 is zero and l_1 = 1 when x_2 is
-    zero."""
+def _orbit(surf, ch, rows):
+    """The torus orbit of the walk node rows, by brute force: its images
+    under every (l_1, l_2) in (F_ch^*)^2 acting by
+    x_j -> l_1^(a_j) l_2^(b_j) x_j, for u_j = (a_j, b_j), as a set."""
     units = range(1, ch)
-    return [
+    return {
         tuple(tuple(c * pow(l1, a, ch) * pow(l2, b, ch) % ch for c in row)
               for row, (a, b) in zip(rows, surf.basis))
-        for l1 in (units if any(rows[1]) else [1])
-        for l2 in (units if any(rows[0]) else [1])
-    ]
+        for l1 in units for l2 in units
+    }
 
 
 def _unslice(surf, ch, nodes):
-    """The sorted images of every slice node: the full walk, if the slice
+    """The sorted orbits of every slice node: the full walk, if the slice
     holds one node of each orbit and no other."""
-    return sorted(image for rows in nodes for image in _torus_images(surf, ch, rows))
+    return sorted(image for rows in nodes for image in _orbit(surf, ch, rows))
+
+
+def _orbit_count(surf, ch, nodes):
+    """The number of torus orbits that nodes meet."""
+    return len({min(_orbit(surf, ch, rows)) for rows in nodes})
 
 
 def _check_against_odometer(monkeypatch, p, q, ch, m):
@@ -350,40 +355,57 @@ def test_constant_member_check_catches_a_flipped_exponent():
         _check_constant_members(CONSTANT_CELLS, planted)
 
 
-def _check_slice_expands_to_the_walk(p, q, ch, mtop):
+def _check_orbit_stabilizer(p, q, ch, full, origin):
+    """The sliced walk against the full walk at each level k up to full
+    from the empty rows, and up to origin from the origin: each slice
+    node's weight is the size of its orbit, the weights sum to the full
+    walk's node count, and the orbits of the slice nodes are disjoint and
+    cover the full walk."""
     surf, field = ToricSurface.from_pair(p, q), prime_field(ch)
-    for k in range(mtop + 1):
-        for start in [((),) * surf.e, ((0,),) * surf.e]:
-            full = sorted(oracle._lift(surf, field, k, [start]))
+    for start, top in [(((),) * surf.e, full), (((0,),) * surf.e, origin)]:
+        for k in range(top + 1):
+            key = (p, q, ch, k, start)
+            walk = sorted(oracle._lift(surf, field, k, [start]))
             sliced = oracle._lift(surf, field, k, [start], sliced=True)
-            assert _unslice(surf, ch, sliced) == full, (p, q, ch, k, start)
+            weights = [oracle._orbit_weight(rows, surf, ch) for rows in sliced]
+            assert weights == [len(_orbit(surf, ch, rows)) for rows in sliced], key
+            assert sum(weights) == len(walk), key
+            assert _unslice(surf, ch, sliced) == walk, key
 
 
 @pytest.mark.parametrize("p,q,ch,mtop", [
     cell for cell in ODOMETER_CELLS + SHORTCUT_CELLS if cell[2] >= 3])
 def test_sliced_walk_expands_to_the_full_walk(p, q, ch, mtop):
-    _check_slice_expands_to_the_walk(p, q, ch, mtop)
+    _check_orbit_stabilizer(p, q, ch, mtop, mtop)
 
 
-def _in_slice(rows):
-    """The slice as the walk should keep it: x_1 and x_2 zero or leading
-    with 1."""
-    return all(next(filter(None, row), 0) <= 1 for row in rows[:2])
+# the levels each criterion-5 cell walks, order propagation from the empty
+# rows to s-1 and the fiber from the origin to m // 2, and the F_2 odometer
+# and shortcut cells, where the torus is trivial, to their top level
+ORBIT_CELLS = list(dict.fromkeys([
+    *((p, q, ch, (mtop + 1) // 2 - 1, mtop // 2) for (p, q), ch, mtop, _ in ORACLE_GRID),
+    *((p, q, ch, mtop, mtop) for p, q, ch, mtop in ODOMETER_CELLS + SHORTCUT_CELLS if ch == 2),
+]))
+
+
+@pytest.mark.parametrize("p,q,ch,full,origin", ORBIT_CELLS)
+def test_slice_weights_are_orbit_sizes(p, q, ch, full, origin):
+    _check_orbit_stabilizer(p, q, ch, full, origin)
 
 
 def _check_first_layers(cells):
     """The tangent-cone search against the level-1 walk from the origin:
-    its layers are the slice nodes there whose t^2 residual vanishes, and
-    every slice node it drops has no member above it at level 2."""
+    the orbits of its layers are the nodes there whose t^2 residual
+    vanishes, and every canonical node it drops has no member above it at
+    level 2."""
     for p, q, ch in cells:
         surf, field = ToricSurface.from_pair(p, q), prime_field(ch)
         got = oracle._first_layers(surf, field)
-        sliced = [rows for rows in oracle._lift(surf, field, 1, [((0,),) * surf.e])
-                  if _in_slice(rows)]
-        kept = [rows for rows in sliced
+        origin = [((0,),) * surf.e]
+        kept = [rows for rows in oracle._lift(surf, field, 1, origin)
                 if jets._vanishes(jets._sparse_rows(rows), 2, surf, field.is_zero)]
-        assert sorted(got) == sorted(kept), (p, q, ch)
-        for rows in set(sliced) - set(got):
+        assert _unslice(surf, ch, got) == sorted(kept), (p, q, ch)
+        for rows in set(oracle._lift(surf, field, 1, origin, sliced=True)) - set(got):
             assert not oracle._lift(surf, field, 2, [rows]), (p, q, ch, rows)
 
 
@@ -423,9 +445,43 @@ def test_first_layer_check_catches_an_ignored_degree_2_minus_monomial(monkeypatc
         _check_first_layers([(5, 12, 3)])
 
 
-def test_first_layer_check_catches_a_slice_on_x3(monkeypatch):
-    # x_3 narrowed to 0 or 1 in place of x_2
-    monkeypatch.setattr(oracle, "_NORMALIZED", (0, 2))
+def _plant_in_orbit_weight(monkeypatch, line, planted):
+    """oracle._orbit_weight rebuilt from its source with line replaced by
+    planted, so the fault reaches every reader of the one function: the
+    first-layer search, the sliced walk and so the candidates, and the
+    fiber's weights."""
+    source = textwrap.dedent(inspect.getsource(oracle._orbit_weight))
+    assert source.count(line) == 1, line
+    scope = {}
+    exec(source.replace(line, planted), vars(oracle), scope)
+    monkeypatch.setattr(oracle, "_orbit_weight", scope["_orbit_weight"])
+
+
+# faults in the canonical form: p-1 in place of a later row's image size;
+# the leftover torus never narrowed after a row, so every later row sees
+# the image of the first row's stabilizer; a later row normalized by the
+# whole torus, its lead 1 like the first row's
+ORBIT_FAULTS = {
+    "image-size-p-1": ("weight *= n // g", "weight *= n"),
+    "leftover-not-narrowed": ("k *= n // g", "k *= 1"),
+    "whole-torus-later-row": ("g = math.gcd(k * (a * d - b * c), n)", "g = 1"),
+}
+
+
+@pytest.mark.parametrize("fault", ORBIT_FAULTS)
+def test_orbit_check_catches_a_planted_fault(monkeypatch, fault):
+    _plant_in_orbit_weight(monkeypatch, *ORBIT_FAULTS[fault])
+    with pytest.raises(AssertionError):
+        for p, q, ch, mtop in ODOMETER_CELLS + SHORTCUT_CELLS:
+            _check_orbit_stabilizer(p, q, ch, mtop, mtop)
+
+
+def test_first_layer_check_catches_an_unnormalized_first_row(monkeypatch):
+    # the first nonzero row keeps every lead, with image size 1, so the
+    # search keeps p-1 layers of some orbits; the weights of those layers
+    # still sum to the orbit's size, so no profile count moves
+    _plant_in_orbit_weight(monkeypatch, "first, g = surface.basis[j], 1",
+                           "first, g = surface.basis[j], n")
     with pytest.raises(AssertionError):
         _check_first_layers(FIRST_LAYER_CELLS)
 
@@ -439,20 +495,47 @@ def test_first_layer_recheck_refuses_a_layer_off_the_cone(monkeypatch):
 
 
 def test_fiber_solves_only_the_first_layers_on_the_tangent_cone(monkeypatch):
-    # (19,30) F_7 m=3: 93 of the 67,228 level-1 slice nodes over the origin
-    # are on the tangent cone, and the fiber solves one system above each;
-    # order propagation at s = 2 solves 407 systems, lifts and candidates
+    # (19,30) F_7 m=3: 8 of the 22,974 torus orbits of level-1 nodes over
+    # the origin are on the tangent cone, and the fiber solves one system
+    # above each; order propagation at s = 2 solves 37 systems, lifts
+    # and candidates
     surf = ToricSurface.from_pair(19, 30)
     cfg = OracleConfig(7, 3, guard=7 ** 28)
-    assert len(oracle._first_layers(surf, prime_field(7))) == 93
+    assert len(oracle._first_layers(surf, prime_field(7))) == 8
     solves = []
     real = oracle._upper_system
     monkeypatch.setattr(oracle, "_upper_system", lambda *args: solves.append(args[2]) or real(*args))
     oracle.fiber_profiles(surf, cfg)
-    assert solves == [3] * 93
+    assert solves == [3] * 8
     solves.clear()
     assert check_order_propagation(surf, cfg, 2)
-    assert len(solves) == 407
+    assert len(solves) == 37
+
+
+# the first layers on the tangent cone, one per torus orbit; over F_2
+# every orbit is one node
+@pytest.mark.parametrize("p,q,ch,layers", [
+    (5, 12, 3, 8), (2, 3, 3, 4), (5, 7, 7, 6), (19, 30, 7, 8), (3, 5, 2, 6)])
+def test_first_layers_and_candidates_are_one_per_orbit(p, q, ch, layers):
+    surf, field = ToricSurface.from_pair(p, q), prime_field(ch)
+    assert len(oracle._first_layers(surf, field)) == layers
+    # the candidates of order propagation at s = 1: x_e alone and x_1 alone
+    zero = ((0,),) * (surf.e - 1)
+    candidates = {rows for rows, _, _ in oracle._refuting_counts(surf, OracleConfig(ch, 1), 1)}
+    assert sorted(candidates) == [zero + ((1,),), ((1,),) + zero]
+
+
+@pytest.mark.parametrize("p,q,ch,m", [(5, 12, 3, 2), (19, 30, 7, 3), (3, 5, 2, 3), (5, 7, 7, 2)])
+def test_fiber_tests_no_first_layer_twice(monkeypatch, p, q, ch, m):
+    # at m = 2 and 3 the nodes of the fiber are the first layers, which the
+    # search has checked through t^2: one _vanishes call each, the search's
+    surf = ToricSurface.from_pair(p, q)
+    layers = len(oracle._first_layers(surf, prime_field(ch)))
+    calls = []
+    real = oracle._vanishes
+    monkeypatch.setattr(oracle, "_vanishes", lambda *args: calls.append(args[1]) or real(*args))
+    oracle.fiber_profiles(surf, OracleConfig(ch, m, guard=ch ** (surf.e * (m + 1))))
+    assert calls == [2] * layers
 
 
 def _random_systems(p, seed):
@@ -543,7 +626,7 @@ def _check_refuting_counts(p, q, ch, s):
                 dropped += pairs
     got = list(oracle._refuting_counts(surf, OracleConfig(ch, 2 * s - 1), s))
     # one candidate of each torus orbit
-    images = [(image, i) for rows, i, _ in got for image in _torus_images(surf, ch, rows)]
+    images = [(image, i) for rows, i, _ in got for image in _orbit(surf, ch, rows)]
     assert sorted(images) == sorted(want), (p, q, ch, s)
 
     def both(rows, i):
@@ -648,15 +731,16 @@ def test_profile_count_check_catches_a_void_second_layer_condition(monkeypatch):
 
 def _check_fiber_solves(monkeypatch, surf, cfg):
     """The profile counts against the listing, and the fiber's solves at
-    level m against its level-h nodes, h = m // 2: one per slice node over
-    the origin whose residual at t^(h+1) vanishes, and none at m <= 2.  A
-    node whose residual does not vanish makes an inconsistent system, so a
-    weaker residual test costs solves but moves no count."""
+    level m against its level-h nodes, h = m // 2: one per torus orbit of
+    the nodes over the origin whose residual at t^(h+1) vanishes, and none
+    at m <= 2.  A node whose residual does not vanish makes an inconsistent
+    system, so a weaker residual test costs solves but moves no count."""
     _check_profiles_against_listing(surf, cfg)
-    field, h, m = prime_field(cfg.characteristic), cfg.m // 2, cfg.m
-    kept = [rows for rows in oracle._lift(surf, field, h, [((0,),) * surf.e])
-            if _in_slice(rows)
-            and jets._vanishes(jets._sparse_rows(rows), h + 1, surf, field.is_zero)]
+    ch, h, m = cfg.characteristic, cfg.m // 2, cfg.m
+    field = prime_field(ch)
+    kept = _orbit_count(surf, ch, [
+        rows for rows in oracle._lift(surf, field, h, [((0,),) * surf.e])
+        if jets._vanishes(jets._sparse_rows(rows), h + 1, surf, field.is_zero)])
     solves = []
     real = oracle._upper_system
 
@@ -667,7 +751,7 @@ def _check_fiber_solves(monkeypatch, surf, cfg):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_upper_system", system)
         oracle.fiber_profiles(surf, cfg)
-    assert solves.count(m) == (len(kept) if h + 1 < m else 0), (surf.p, surf.q, cfg)
+    assert solves.count(m) == (kept if h + 1 < m else 0), (surf.p, surf.q, cfg)
 
 
 # m = 4 and 5, where the residual at t^3 is tested on the level-2 nodes
@@ -716,16 +800,19 @@ def test_profile_count_check_catches_an_early_exit_on_a_vanishing_binomial(monke
 
 def test_profile_count_check_catches_a_dropped_slice_weight(monkeypatch):
     # each sliced node counted once, not once per node of its orbit
-    real = oracle._slice_weight
-    monkeypatch.setattr(oracle, "_slice_weight", lambda rows, p: min(real(rows, p), 1))
+    real = oracle._orbit_weight
+    monkeypatch.setattr(oracle, "_orbit_weight", lambda rows, surface, p: min(
+        real(rows, surface, p), 1))
     with pytest.raises(AssertionError):
         _check_profiles_against_listing(ToricSurface.from_pair(5, 7), OracleConfig(3, 2))
 
 
-def test_profile_count_check_catches_a_slice_on_x3(monkeypatch):
-    # x_3 normalized in place of x_2, though no torus element scales it
-    # alone, by the first-layer search and _slice_weight alike
-    monkeypatch.setattr(oracle, "_NORMALIZED", (0, 2))
+@pytest.mark.parametrize("fault", ORBIT_FAULTS)
+def test_profile_count_check_catches_a_planted_orbit_fault(monkeypatch, fault):
+    # every canonical first layer of the tested cells leads each row with
+    # 1, so none of these faults moves a first layer; the fiber's weights
+    # catch them
+    _plant_in_orbit_weight(monkeypatch, *ORBIT_FAULTS[fault])
     with pytest.raises(AssertionError):
         _check_profiles_against_listing(ToricSurface.from_pair(5, 7), OracleConfig(3, 2))
 
