@@ -11,14 +11,11 @@ exhaustive finite-field enumeration.
 
 from .components import (
     ComponentClass,
-    ComponentReport,
     codimension,
-    component_report,
     count_closed_form,
     dimension,
     enumerate_classes,
     m_cap,
-    report_as_dict,
     valid_labels,
 )
 from .equations import BinomialEquation, generators, grading_check
@@ -60,12 +57,11 @@ from .lattice import (
 from .oracle import (
     DEFAULT_GUARD,
     CoverageReport,
-    FiberPoint,
     OracleConfig,
     StratumStats,
     check_order_propagation,
     coverage_spot_check,
-    enumerate_fiber,
+    fiber_profiles,
     required_budget,
 )
 
@@ -76,7 +72,6 @@ __all__ = [
     "BinomialEquation",
     "CoefficientField",
     "ComponentClass",
-    "ComponentReport",
     "ConePair",
     "ContinuedFraction",
     "CoprimalityError",
@@ -84,7 +79,6 @@ __all__ = [
     "DEFAULT_GUARD",
     "DualBasis",
     "EmbeddingDimensionError",
-    "FiberPoint",
     "GuardExceededError",
     "InputRangeError",
     "NonMemberError",
@@ -96,7 +90,6 @@ __all__ = [
     "TruncatedJet",
     "check_order_propagation",
     "codimension",
-    "component_report",
     "cone_contains",
     "contact_profile",
     "contact_vector",
@@ -107,10 +100,10 @@ __all__ = [
     "dual_hilbert_basis",
     "dual_hilbert_basis_bruteforce",
     "enumerate_classes",
-    "enumerate_fiber",
     "evaluate",
     "exceptional_count_dual_cf",
     "exceptional_count_hull",
+    "fiber_profiles",
     "generators",
     "grading_check",
     "hj_evaluate",
@@ -119,7 +112,6 @@ __all__ = [
     "m_cap",
     "monomial_arc",
     "prime_field",
-    "report_as_dict",
     "required_budget",
     "truncate",
     "valid_labels",

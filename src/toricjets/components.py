@@ -11,11 +11,10 @@ as glued runs and spans of singletons, for enumerate_classes and analyze.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InputRangeError
-from .lattice import ToricSurface, exceptional_count_dual_cf
+from .lattice import ToricSurface
 
 Label = tuple[int, int, int]
 
@@ -133,63 +132,7 @@ def count_closed_form(surface: ToricSurface, m: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    """Everything the classification yields at one level m.
-
-    The enumerated and closed-form counts are both carried without being
-    reconciled here; tests assert their equality, so a discrepancy surfaces
-    loudly instead of being hidden at construction time.
-    """
-
-    m: int
-    classes: tuple[ComponentClass, ...]
-    n_enumerated: int
-    n_closed_form: int
-    s1_count: int
-    exceptional_count: int
-    main_codim: int
-
-
 def main_codim(surface: ToricSurface, m: int) -> int:
     """(m+1)(e-2), the codimension of the closure of the jets over the smooth
     locus; metadata, not one of the classes."""
     return (m + 1) * (surface.e - 2)
-
-
-def component_report(surface: ToricSurface, m: int) -> ComponentReport:
-    """Classify at level m and bundle counts, caps, and resolution data."""
-    classes = tuple(enumerate_classes(surface, m))
-    return ComponentReport(
-        m=m,
-        classes=classes,
-        n_enumerated=len(classes),
-        n_closed_form=count_closed_form(surface, m),
-        s1_count=sum(1 for cl in classes if cl.s == 1),
-        exceptional_count=exceptional_count_dual_cf(surface.cone),
-        main_codim=main_codim(surface, m),
-    )
-
-
-def report_as_dict(report: ComponentReport) -> dict:
-    """JSON-ready mapping for a ComponentReport, matching the published schema."""
-    return {
-        "m": report.m,
-        "classes": [
-            {
-                "canonical": list(cl.canonical),
-                "members": [list(label) for label in cl.members],
-                "s": cl.s,
-                "codim": cl.codim,
-                "dim": cl.dim,
-            }
-            for cl in report.classes
-        ],
-        "N": {
-            "enumerated": report.n_enumerated,
-            "closed_form": report.n_closed_form,
-        },
-        "s1_count": report.s1_count,
-        "exceptional": report.exceptional_count,
-        "main_codim": report.main_codim,
-    }

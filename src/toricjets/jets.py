@@ -47,16 +47,37 @@ class _AboveM:
 ABOVE_M = _AboveM()
 
 
+# Miller-Rabin to the 13 prime bases 2..41 has no strong pseudoprime below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin to the bases _MR_BASES,
+    so at most 13 modular powers; refuses n >= _MR_BOUND, where those bases
+    no longer decide it."""
+    if n >= _MR_BOUND:
+        raise InputRangeError(
+            f"characteristic must be below {_MR_BOUND}, got one of {n.bit_length()} bits")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

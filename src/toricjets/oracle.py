@@ -36,8 +36,9 @@ refute the lemma; fiber_profiles walks the slice over the origin to level
 m // 2 and counts the layers above it by contact profile.  Both count the
 solution families of one elimination per node (_solutions).  The fiber's
 residual test is the membership loop, which stops at the first binomial
-that does not vanish.  enumerate_fiber lists every point of the full walk
-from the origin, the reference the tests compare the checks against.
+that does not vanish.  The full walk from the origin, _lift unsliced,
+lists every fiber point; it is the reference the tests compare the checks
+against.
 Point counts over F_p are heuristic evidence for dimensions and are
 reported as experimental; the boolean lemma checks are hard.
 """
@@ -86,13 +87,6 @@ class OracleConfig:
             raise InputRangeError(f"jet level must be >= 0, got {self.m}")
         if self.guard < 1:
             raise InputRangeError(f"guard must be positive, got {self.guard}")
-
-
-class FiberPoint(NamedTuple):
-    """A member jet over the singular point together with its contact profile."""
-
-    jet: TruncatedJet
-    profile: tuple
 
 
 class StratumStats(NamedTuple):
@@ -361,19 +355,18 @@ def _first_layers(surface, field) -> list:
     Over the origin D_0 = 0, so a node x = a t has member children at
     level 2 exactly when every binomial's t^2 coefficient vanishes along
     it, and then all p^e of them (Ein-Mustata, 2009).  The search sets the
-    coordinates in order, the unset ones reading 0, and drops a partial
-    layer as soon as a condition of _tangent_cone checked at its last
-    coordinate fails or, that coordinate nonzero, the partial layer is not
-    canonical (_orbit_weight).
+    coordinates in order and drops a partial layer as soon as a condition
+    of _tangent_cone checked at its last coordinate fails or, that
+    coordinate nonzero, the partial layer is not canonical (_orbit_weight).
     Every row of a first layer has order 1, so _orbit_weight visits them in
     coordinate order and a layer is canonical exactly when each of its
     partial layers is.  The dropped nodes have no member above them at
     level 2, nor at any higher level.
     """
-    p, e = field.characteristic, surface.e
-    layers = [(0,) * e]
+    p = field.characteristic
+    layers = [()]
     for l, checks in enumerate(_tangent_cone(surface)):
-        layers = [a for a in (x[:l] + (v,) + x[l + 1:] for x in layers for v in range(p))
+        layers = [a for a in (x + (v,) for x in layers for v in range(p))
                   if all((a[i] * a[j] - sum(a[k] * a[n] for k, n in minus)) % p == 0
                          for i, j, minus in checks)
                   and (not a[l] or _orbit_weight(tuple((0, c) for c in a), surface, p))]
@@ -400,8 +393,8 @@ def _lift(surface, field, m, coords, sliced=False):
     layer; over the origin J = 0, because every binomial monomial has
     degree >= 2, so the system has rank 0 and its solutions are all p^e
     layers, most of them with no member above them at level 2.  The checks
-    therefore start above the origin from _first_layers, and only
-    enumerate_fiber takes this step.  sliced walks the torus slice: one
+    therefore start above the origin from _first_layers, and only the
+    tests' full walk takes this step.  sliced walks the torus slice: one
     point of each orbit of S(F_p), and at each step only the canonical
     children (_orbit_weight), so no other node is solved.
     """
@@ -416,25 +409,6 @@ def _lift(surface, field, m, coords, sliced=False):
         )
         coords = [rows for rows in children if not sliced or _orbit_weight(rows, surface, p)]
     return coords
-
-
-def enumerate_fiber(surface: ToricSurface, config: OracleConfig) -> list[FiberPoint]:
-    """Every member jet over the singular point, with its contact profile.
-
-    The walk starts from the zero constant layer, where the first step's
-    solutions are all p^e layers; the guard is still charged for the full
-    p^(e(m+1)) space.  Points come sorted by coefficients, in the order of
-    an odometer over them flattened coordinate by coordinate.
-    """
-    _check_guard(surface, config)
-    field = prime_field(config.characteristic)
-    members = sorted(_lift(surface, field, config.m, [((0,),) * surface.e]))
-    # walk rows hold reduced residues, so c != 0 is the field's zero test
-    order = functools.cache(lambda row: next((b for b, c in enumerate(row) if c), ABOVE_M))
-    return [
-        FiberPoint(TruncatedJet(field, config.m, rows), tuple(map(order, rows)))
-        for rows in members
-    ]
 
 
 def _row_orders(row, layers, p: int) -> tuple:
@@ -459,10 +433,12 @@ def _row_orders(row, layers, p: int) -> tuple:
 def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
     """Number of fiber points of each contact profile, without listing them.
 
-    Equals Counter(fp.profile for fp in enumerate_fiber(...)).  The guard is
-    charged for the full p^(e(m+1)) space; the walk over the origin then
-    stops at level h = m // 2, keeps one canonical node per torus orbit,
-    and counts each node it keeps as the _orbit_weight nodes of its orbit.
+    Equals the Counter of the profiles of the full walk from the origin to
+    level m, a coordinate's order being its first nonzero coefficient or
+    ABOVE_M.  The guard is charged for the full p^(e(m+1)) space; the walk
+    over the origin then stops at level h = m // 2, keeps one canonical
+    node per torus orbit, and counts each node it keeps as the
+    _orbit_weight nodes of its orbit.
     At m >= 2 it starts from the first layers on the tangent cone
     (_first_layers): the others have no member above them at level 2 <= m,
     so they add nothing.
@@ -505,10 +481,11 @@ def fiber_profiles(surface: ToricSurface, config: OracleConfig) -> Counter:
     return profiles
 
 
-def _zero_pairs(zero) -> list:
-    """The i in 2..e-1 with coordinates x_i and x_(i+1) both flagged in zero,
-    a sequence of e flags indexed from 0."""
-    return [i for i in range(2, len(zero)) if zero[i - 1] and zero[i]]
+def _zero_pairs(rows) -> list:
+    """The i in 2..e-1 with coordinates x_i and x_(i+1) both zero in the
+    walk rows, and none when every coordinate is zero."""
+    zero = [not any(row) for row in rows]
+    return [] if all(zero) else [i for i in range(2, len(zero)) if zero[i - 1] and zero[i]]
 
 
 def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
@@ -522,30 +499,25 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
     off its families (_solutions): the layer-s choices of x_i and x_(i+1)
     are a[i-1] and a[i], so a family adds the nonzero values of each times
     the product of the sizes of its other choices.  Every candidate has its
-    pair zero at layer 0, and at s = 1 a unit coordinate, so only the points
-    of S(F_p) with these properties are walked to level s-1, and only the
-    torus slice: a count is the same on every node of an orbit, so the
-    candidates are the canonical nodes (_orbit_weight), one per orbit,
-    unweighted.  At s >= 2 the origin's children are the first layers on
-    the tangent cone (_first_layers) in place of all p^e: a candidate above
-    any other first layer has no member above it at level 2 <= 2s-1, so its
+    pair zero at layer 0, so one rule, _zero_pairs, picks the points of
+    S(F_p) the walk starts from and the candidates at level s-1; it leaves
+    out the origin, zero everywhere.  The walk keeps only the torus slice:
+    a count is the same on every node of an orbit, so the candidates are
+    the canonical nodes (_orbit_weight), one per orbit, unweighted.  At
+    s >= 2 the origin's children are walked, the first layers on the
+    tangent cone (_first_layers) in place of all p^e: a candidate above any
+    other first layer has no member above it at level 2 <= 2s-1, so its
     count is 0.  config is at level m = 2s-1.
     """
     e, p = surface.e, config.characteristic
-    origin = ((0,),) * e
-
-    def may_start(rows):
-        return rows != origin and _zero_pairs([not row[0] for row in rows])
-
     field = prime_field(p)
-    start = [rows for rows in _constant_members(surface, field, sliced=True) if may_start(rows)]
+    start = [rows for rows in _constant_members(surface, field, sliced=True) if _zero_pairs(rows)]
     above_origin = _first_layers(surface, field) if s > 1 else []
     n = e * s
     for rows in itertools.chain(_lift(surface, field, s - 1, start, sliced=True),
                                 _lift(surface, field, s - 1, above_origin, sliced=True)):
-        zero = [not any(row) for row in rows]
-        pairs = _zero_pairs(zero)
-        if all(zero) or not pairs:
+        pairs = _zero_pairs(rows)
+        if not pairs:
             continue
         counts = dict.fromkeys(pairs, 0)
         for a in _solutions(_upper_system(surface, rows, 2 * s - 1, p), n, p):

@@ -18,7 +18,6 @@ from toricjets import (
     ToricSurface,
     check_order_propagation,
     codimension,
-    component_report,
     contact_profile,
     contact_vector,
     count_closed_form,
@@ -110,7 +109,7 @@ def test_criterion_2_resolution_correspondence():
             want = exceptional_count_dual_cf(surf.cone)
             assert want == exceptional_count_hull(surf.cone), (surf.p, surf.q)
             for m in (max(surf.entries), max(surf.entries) + 7):
-                count = component_report(surf, m).s1_count
+                count = sum(cl.s == 1 for cl in enumerate_classes(surf, m))
                 assert count == want, (surf.p, surf.q, m, count, want)
         dt = time.monotonic() - t0
         assert dt < 10.0, f"budget 10s exceeded: {dt:.1f}s"

@@ -15,8 +15,9 @@ import pytest
 
 from toricjets import ABOVE_M, ToricSurface, cli, components, equations, hj_evaluate, jets, oracle
 from toricjets.cli import _analyze_frame, _canonical_json, _csv_text, _label_str, _yes_no, main
-from toricjets.components import class_runs, component_report, report_as_dict
+from toricjets.components import class_runs, count_closed_form, enumerate_classes, main_codim
 from toricjets.equations import generators, minus_walk
+from toricjets.lattice import exceptional_count_dual_cf
 from conftest import coprime_family, plant_in_series
 import test_components
 
@@ -112,7 +113,7 @@ WRITER_CASES = [
 ]
 
 
-# The analyze document, built from generators and component_report, and its md
+# The analyze document, built from generators and enumerate_classes, and its md
 # and csv renderers: the references of cli's analyze writers, which read the
 # scans.
 
@@ -127,12 +128,22 @@ def _mono_str(exponents) -> str:
 
 def _analyze_doc(surface: ToricSurface, args) -> dict:
     """The source of md and csv, and the reference for _analyze_json."""
-    report = component_report(surface, args.m)
+    classes = enumerate_classes(surface, args.m)
+    exceptional = exceptional_count_dual_cf(surface.cone)
     equations = [
         {"i": eq.i, "j": eq.j, "minus_exponents": list(eq.minus_exponents)}
         for eq in generators(surface)
     ]
-    return _analyze_frame(surface, report.exceptional_count, equations, report_as_dict(report))
+    comp = {
+        "m": args.m,
+        "classes": [{"canonical": list(cl.canonical), "members": [list(x) for x in cl.members],
+                     "s": cl.s, "codim": cl.codim, "dim": cl.dim} for cl in classes],
+        "N": {"enumerated": len(classes), "closed_form": count_closed_form(surface, args.m)},
+        "s1_count": sum(cl.s == 1 for cl in classes),
+        "exceptional": exceptional,
+        "main_codim": main_codim(surface, args.m),
+    }
+    return _analyze_frame(surface, exceptional, equations, comp)
 
 
 def _analyze_md(doc: dict) -> str:
@@ -356,16 +367,13 @@ E502_SHA256 = {
 
 
 def _refuse_dense_document(monkeypatch, command):
-    """Make generators, a BinomialEquation, component_report and
-    report_as_dict raise.  The generators cache is emptied first, so a call
+    """Make generators and a BinomialEquation raise.  The generators cache is emptied first, so a call
     through any binding of the real generators builds a BinomialEquation."""
     def refuse(*args):
         raise AssertionError(f"{command} built the dense document")
 
     generators.cache_clear()
     monkeypatch.setattr(equations, "generators", refuse)
-    monkeypatch.setattr(components, "component_report", refuse)
-    monkeypatch.setattr(components, "report_as_dict", refuse)
     monkeypatch.setattr(equations.BinomialEquation, "__post_init__", refuse)
     with pytest.raises(AssertionError):  # the spy is live
         generators(ToricSurface.from_pair(3, 5))
@@ -402,7 +410,6 @@ def test_analyze_json_builds_no_class_objects(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("analyze --format json built a ComponentClass")
 
-    monkeypatch.setattr(components, "component_report", refuse)
     monkeypatch.setattr(cli, "enumerate_classes", refuse)
     monkeypatch.setattr(components, "enumerate_classes", refuse)
     monkeypatch.setattr(components.ComponentClass, "__new__", refuse)
@@ -618,6 +625,19 @@ def test_verify_rejects_composite_field(capsys):
                                  "--field", "6"])
     assert code == 2
     assert "prime" in err
+
+
+@pytest.mark.parametrize("field", [2 ** 127 - 1, (10 ** 12 + 39) * (10 ** 12 + 61), 4],
+                         ids=["prime-2^127-1", "composite-two-large-factors", "composite-4"])
+def test_verify_decides_the_field_before_any_walk(capsys, field):
+    # a prime past the bound of exact Miller-Rabin, and a composite whose
+    # least factor is 10^12+39, where trial division up to sqrt(p) would
+    # run for hours, are refused at once, each with one line of stderr
+    t0 = time.monotonic()
+    code, out, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
+                                   "--field", str(field)])
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
 
 
 def test_verify_refuses_before_the_symbolic_suite(capsys, monkeypatch):

@@ -41,6 +41,20 @@ def test_field_validation():
     assert RATIONALS.characteristic == 0
 
 
+def test_primality_is_exact_below_the_bound():
+    # trial division below 10^4; strong pseudoprimes to base 2 and to the
+    # bases 2..23 (2047, 3825123056546413051) and to 2..37 (the last one)
+    # are composite; a prime and a composite with no factor below 10^12
+    trial = [n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1)) for n in range(10 ** 4)]
+    assert [jets._is_prime(n) for n in range(10 ** 4)] == trial
+    for n in [2047, 3825123056546413051, 318665857834031151167461,
+              (10 ** 12 + 39) * (10 ** 12 + 61)]:
+        assert not jets._is_prime(n), n
+    assert jets._is_prime(2 ** 61 - 1) and jets._is_prime(2 ** 80 - 65)
+    with pytest.raises(InputRangeError, match="below"):
+        prime_field(2 ** 127 - 1)
+
+
 def test_field_normalize_and_elements():
     f5 = prime_field(5)
     assert f5.normalize(12) == 2

@@ -19,7 +19,6 @@ from toricjets import (
     TruncatedJet,
     check_order_propagation,
     coverage_spot_check,
-    enumerate_fiber,
     is_member,
     monomial_arc,
     prime_field,
@@ -27,6 +26,16 @@ from toricjets import (
 )
 from conftest import plant_in_series
 from test_acceptance import ORACLE_GRID
+
+
+def _fiber(surf, ch, m):
+    """The full walk from the origin: every fiber point's rows, sorted."""
+    return sorted(oracle._lift(surf, prime_field(ch), m, [((0,),) * surf.e]))
+
+
+def _profile(rows):
+    """Each coordinate's order: its first nonzero coefficient, or ABOVE_M."""
+    return tuple(next((b for b, c in enumerate(row) if c), ABOVE_M) for row in rows)
 
 
 def test_config_validation():
@@ -54,7 +63,7 @@ def test_guard_rejection_carries_required_count():
     surf = ToricSurface.from_pair(2, 3)
     cfg = OracleConfig(3, 2, guard=100)
     with pytest.raises(GuardExceededError) as exc:
-        enumerate_fiber(surf, cfg)
+        oracle.fiber_profiles(surf, cfg)
     assert exc.value.required == 3 ** 12
     assert "3^12 points" in str(exc.value)
     assert "raise the guard" in str(exc.value)
@@ -68,25 +77,23 @@ def test_fiber_counts_frozen():
         (2, 5, 2, 3, 1215),
     ]
     for p, q, m, ch, want in cases:
-        surf = ToricSurface.from_pair(p, q)
-        points = enumerate_fiber(surf, OracleConfig(ch, m))
-        assert len(points) == want
+        assert len(_fiber(ToricSurface.from_pair(p, q), ch, m)) == want
 
 
 def test_fiber_points_are_members_over_the_origin():
     surf = ToricSurface.from_pair(3, 5)
-    for fp in enumerate_fiber(surf, OracleConfig(2, 2)):
-        assert is_member(fp.jet, surf)
-        for row in fp.jet.coords:
+    for rows in _fiber(surf, 2, 2):
+        assert is_member(TruncatedJet(prime_field(2), 2, rows), surf)
+        for row in rows:
             assert row[0] == 0
-        assert all(o is ABOVE_M or o >= 1 for o in fp.profile)
+        assert all(o is ABOVE_M or o >= 1 for o in _profile(rows))
 
 
 def test_fiber_at_level_zero_is_the_origin():
     surf = ToricSurface.from_pair(2, 3)
-    points = enumerate_fiber(surf, OracleConfig(5, 0))
+    points = _fiber(surf, 5, 0)
     assert len(points) == 1
-    assert points[0].profile == (ABOVE_M,) * 4
+    assert _profile(points[0]) == (ABOVE_M,) * 4
 
 
 def test_order_propagation_frozen():
@@ -161,8 +168,7 @@ def _check_against_odometer(monkeypatch, p, q, ch, m):
     surf = ToricSurface.from_pair(p, q)
     cfg = OracleConfig(ch, m)
     assert required_budget(surf, cfg) <= 1 << 16
-    fiber = [fp.jet.coords for fp in enumerate_fiber(surf, cfg)]
-    assert fiber == _odometer_members(surf, ch, m, over_origin=True)
+    assert _fiber(surf, ch, m) == _odometer_members(surf, ch, m, over_origin=True)
     if m % 2:  # order propagation runs at m = 2s-1 over the full space
         s = (m + 1) // 2
         walked = []
@@ -221,12 +227,6 @@ def test_odometer_check_catches_a_kept_non_member(monkeypatch):
     with pytest.raises(AssertionError):
         _check_against_odometer(monkeypatch, 3, 5, 2, 2)
     assert kept
-
-
-def test_odometer_check_catches_a_missing_sort(monkeypatch):
-    monkeypatch.setattr(oracle, "sorted", list, raising=False)
-    with pytest.raises(AssertionError):
-        _check_against_odometer(monkeypatch, 3, 5, 2, 2)
 
 
 def _per_child_levels(surface, field, m):
@@ -355,6 +355,30 @@ def test_constant_member_check_catches_a_flipped_exponent():
         _check_constant_members(CONSTANT_CELLS, planted)
 
 
+def _check_sliced_constant_layer(ch):
+    """The sliced constant layer, picked by hand, against the canonical
+    points (_orbit_weight) among all p^2 points of S(F_p), in order, on
+    every criterion-5 surface."""
+    field = prime_field(ch)
+    for p, q in sorted({pq for pq, _, _, _ in ORACLE_GRID}):
+        surf = ToricSurface.from_pair(p, q)
+        canonical = [rows for rows in oracle._constant_members(surf, field)
+                     if oracle._orbit_weight(rows, surf, ch) > 0]
+        assert oracle._constant_members(surf, field, sliced=True) == canonical, (p, q, ch)
+
+
+@pytest.mark.parametrize("ch", [3, 5, 7, 11])
+def test_sliced_constant_layer_is_the_canonical_points(ch):
+    _check_sliced_constant_layer(ch)
+
+
+def test_sliced_constant_layer_check_catches_an_unnormalized_first_row(monkeypatch):
+    _plant_in_orbit_weight(monkeypatch, *UNNORMALIZED_FIRST_ROW)
+    with pytest.raises(AssertionError):
+        for ch in [3, 5, 7, 11]:
+            _check_sliced_constant_layer(ch)
+
+
 def _check_orbit_stabilizer(p, q, ch, full, origin):
     """The sliced walk against the full walk at each level k up to full
     from the empty rows, and up to origin from the origin: each slice
@@ -431,8 +455,11 @@ def _plant_in_tangent_cone(monkeypatch, edit, recheck=False):
 
 
 def test_first_layer_check_catches_a_binomial_checked_one_coordinate_early(monkeypatch):
-    # binomial (i, j) checked once x_(j-1) is set, reading x_j as 0
-    _plant_in_tangent_cone(monkeypatch, lambda groups: groups[1:] + [[]])
+    # binomial (i, j) checked once x_(j-1) is set, reading x_j as 0: the
+    # condition a_i a_j - R(a) becomes R(a) = 0 if R = x_k x_n, as (k, n, ()),
+    # and vacuous if R has higher degree
+    _plant_in_tangent_cone(monkeypatch, lambda groups: [
+        [(k, n, ()) for _, _, minus in group for k, n in minus] for group in groups[1:]] + [[]])
     with pytest.raises(AssertionError):
         _check_first_layers(FIRST_LAYER_CELLS)
 
@@ -457,6 +484,9 @@ def _plant_in_orbit_weight(monkeypatch, line, planted):
     monkeypatch.setattr(oracle, "_orbit_weight", scope["_orbit_weight"])
 
 
+# the first nonzero row keeps every lead, with image size 1
+UNNORMALIZED_FIRST_ROW = ("first, g = surface.basis[j], 1", "first, g = surface.basis[j], n")
+
 # faults in the canonical form: p-1 in place of a later row's image size;
 # the leftover torus never narrowed after a row, so every later row sees
 # the image of the first row's stabilizer; a later row normalized by the
@@ -477,11 +507,9 @@ def test_orbit_check_catches_a_planted_fault(monkeypatch, fault):
 
 
 def test_first_layer_check_catches_an_unnormalized_first_row(monkeypatch):
-    # the first nonzero row keeps every lead, with image size 1, so the
-    # search keeps p-1 layers of some orbits; the weights of those layers
-    # still sum to the orbit's size, so no profile count moves
-    _plant_in_orbit_weight(monkeypatch, "first, g = surface.basis[j], 1",
-                           "first, g = surface.basis[j], n")
+    # the search keeps p-1 layers of some orbits; the weights of those
+    # layers still sum to the orbit's size, so no profile count moves
+    _plant_in_orbit_weight(monkeypatch, *UNNORMALIZED_FIRST_ROW)
     with pytest.raises(AssertionError):
         _check_first_layers(FIRST_LAYER_CELLS)
 
@@ -654,8 +682,8 @@ def test_refuting_counts_match_the_listing(p, q, ch, s):
 def test_refuting_count_check_catches_a_prefilter_that_skips_the_last_pair(monkeypatch):
     # the pair x_(e-1), x_e is never looked at, at layer 0 or at level s-1
     real = oracle._zero_pairs
-    monkeypatch.setattr(oracle, "_zero_pairs", lambda zero: [
-        i for i in real(zero) if i != len(zero) - 1])
+    monkeypatch.setattr(oracle, "_zero_pairs", lambda rows: [
+        i for i in real(rows) if i != len(rows) - 1])
     with pytest.raises(AssertionError):
         _check_refuting_counts(3, 5, 2, 2)
 
@@ -664,7 +692,7 @@ def test_fiber_walk_checks_one_child_per_member(monkeypatch):
     # the bench's e = 5 cell: one system solved per member below level 2
     # and no is_member call, where child by child made 59,292 checks
     surf = ToricSurface.from_pair(5, 12)
-    below = len(enumerate_fiber(surf, OracleConfig(3, 1)))
+    below = len(_fiber(surf, 3, 1))
     solves, checks = [], []
     real_system, real_member = oracle._upper_system, oracle.is_member
 
@@ -678,14 +706,14 @@ def test_fiber_walk_checks_one_child_per_member(monkeypatch):
 
     monkeypatch.setattr(oracle, "_upper_system", system)
     monkeypatch.setattr(oracle, "is_member", member)
-    assert len(enumerate_fiber(surf, OracleConfig(3, 2))) == 5103
+    assert len(_fiber(surf, 3, 2)) == 5103
     assert solves == [1] + [2] * below
     assert len(solves) == 244
     assert checks == []
 
 
 def _check_profiles_against_listing(surf, cfg):
-    listed = Counter(fp.profile for fp in oracle.enumerate_fiber(surf, cfg))
+    listed = Counter(map(_profile, _fiber(surf, cfg.characteristic, cfg.m)))
     assert oracle.fiber_profiles(surf, cfg) == listed, (surf.p, surf.q, cfg)
 
 
@@ -707,26 +735,15 @@ def test_profile_counts_match_the_listing(p, q, ch, m):
     _check_profiles_against_listing(ToricSurface.from_pair(p, q), cfg)
 
 
-def _plant_after_listing(monkeypatch, plant):
-    """Run plant once enumerate_fiber has listed the fiber: the listing
-    shares _upper_system with the counts, so a fault planted
-    before it would leave both sides equally wrong."""
-    real = oracle.enumerate_fiber
-
-    def listing_then_plant(*args, **kwargs):
-        points = real(*args, **kwargs)
-        plant()
-        return points
-
-    monkeypatch.setattr(oracle, "enumerate_fiber", listing_then_plant)
-
-
 def test_profile_count_check_catches_a_void_second_layer_condition(monkeypatch):
     # D_1 = 0: every node whose t^(m-1) residual vanishes gets all p^e
-    # layers m-1 or none, as if the t^m coefficient were r_m alone
-    _plant_after_listing(monkeypatch, lambda: _plant_void_derivative_term(monkeypatch, 1))
-    with pytest.raises(AssertionError):
-        _check_profiles_against_listing(ToricSurface.from_pair(3, 5), OracleConfig(2, 3))
+    # layers m-1 or none, as if the t^m coefficient were r_m alone.  The
+    # listing shares _upper_system with the counts, so the fault is planted
+    # once the fiber is listed, or both sides would be equally wrong
+    surf = ToricSurface.from_pair(3, 5)
+    listed = Counter(map(_profile, _fiber(surf, 2, 3)))
+    _plant_void_derivative_term(monkeypatch, 1)
+    assert oracle.fiber_profiles(surf, OracleConfig(2, 3)) != listed
 
 
 def _check_fiber_solves(monkeypatch, surf, cfg):
@@ -962,7 +979,5 @@ def test_coverage_counts_every_point_once():
 
 def test_monomial_arcs_appear_in_the_fiber():
     surf = ToricSurface.from_pair(2, 5)
-    cfg = OracleConfig(2, 2)
-    fiber_coords = {fp.jet.coords for fp in enumerate_fiber(surf, cfg)}
     arc = monomial_arc(surf, (1, 1), 2, field=prime_field(2))
-    assert arc.coords in fiber_coords
+    assert arc.coords in _fiber(surf, 2, 2)
