@@ -19,7 +19,9 @@ walk and a single check draws no step it does not use.  That loop
 (_vanishes) also decides the oracle's fiber nodes, and contact_profile
 reads the orders from the same sparse rows it checks, in one pass.  The
 same walk gives oracle._upper_system the coefficients and derivative
-series of the one linear system by which the oracle lifts member jets.
+series of the one linear system by which the oracle lifts member jets,
+each derivative built only when the orders of the rows put its lowest
+term inside the system.
 """
 
 from __future__ import annotations
@@ -277,21 +279,26 @@ def _through(terms, n: int) -> tuple:
     return tuple((d, c) for d, c in terms if d <= n)
 
 
-def _derivatives_times_power(running, d_running: dict, row, g: int, b: int, n: int) -> dict:
+def _derivatives_times_power(running, d_running: dict, row, g: int, b: int, n: int,
+                             low: int, orders) -> dict:
     """The derivatives through t^n of R x^b, x the coordinate of row, by the
     product rule: d(R x^b) = dR x^b + b R x^(b-1) dx.
 
     running holds the sparse terms of R and d_running maps each 0-based
     coordinate to those of dR through t^n; g is the 0-based coordinate of x,
-    which must not be a variable of R.  A derivative that truncates to zero
-    is left out.
+    which must not be a variable of R.  low is the sum of b' o over the
+    factors x^b' of R x^b, o the first degree of the factor's row and m+1
+    for an empty one, and orders[l] is o for x_(l+1).  The derivative by
+    x_(l+1) is one monomial along the rows, so it starts at low - orders[l]
+    or is zero, and then that bound is past n; it is built only when the
+    bound is at most n, so every derivative left out truncates to zero.
     """
     if not b:
         return d_running
-    out = {l: t for l, terms in d_running.items() if (t := _times_power(terms, row, b, n))}
-    t = _through(_times_power(running, row, b - 1, n), n)
-    if t:
-        out[g] = tuple((d, b * c) for d, c in t)
+    out = {l: _times_power(terms, row, b, n)
+           for l, terms in d_running.items() if low - orders[l] <= n}
+    if low - orders[g] <= n:
+        out[g] = tuple((d, b * c) for d, c in _through(_times_power(running, row, b - 1, n), n))
     return out
 
 
@@ -342,7 +349,12 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
     binomial's derivative by x_(l+1), a coordinate whose derivative
     truncates to zero being left out.  The running product carries its
     derivatives along; no variable of it recurs in a later factor, the
-    closing one included.
+    closing one included.  No derivative that truncates to zero is built:
+    the derivative of a monomial x^B by x_l is one monomial along the rows,
+    starting at sum b o - o_l, so each side builds only those with that
+    degree at most n, the running product and the closing factor by the
+    bound of _derivatives_times_power and x_i x_j its x_j when o_j <= n.
+    Membership mode reads none of it.
     """
     derive = n >= 0
     orders = [row[0][0] if row else m + 1 for row in rows]
@@ -355,11 +367,11 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
             for j, grow, (k, a) in memo.__copy__():
                 if grow:
                     g, b = grow
+                    low += b * orders[g - 1]
                     if derive:
                         d_running = _derivatives_times_power(
-                            running, d_running, rows[g - 1], g - 1, b, n)
+                            running, d_running, rows[g - 1], g - 1, b, n, low, orders)
                     running = _times_power(running, rows[g - 1], b, m)
-                    low += b * orders[g - 1]
                 if not derive and orders[i - 1] + tail[j - 1] > m and low + tail[j - 2] > m:
                     break
                 plus = _times_power(rows[i - 1], rows[j - 1], 1, m)
@@ -368,12 +380,12 @@ def _binomial_series(rows, m: int, surface: ToricSurface, n: int = -1):
                     if plus != minus:
                         yield (i, j), plus, minus, {}
                     continue
-                d_minus = _derivatives_times_power(running, d_running, rows[k - 1], k - 1, a, n)
+                d_minus = _derivatives_times_power(
+                    running, d_running, rows[k - 1], k - 1, a, n, low + a * orders[k - 1], orders)
                 grad = {l: tuple((d, -c) for d, c in terms) for l, terms in d_minus.items()}
                 for l, other in ((i - 1, j - 1), (j - 1, i - 1)):
-                    t = _through(rows[other], n)
-                    if t:
-                        grad[l] = t
+                    if orders[other] <= n:
+                        grad[l] = _through(rows[other], n)
                 yield (i, j), plus, minus, grad
     except GeneratorExit:  # the consumer left early: the plan is intact
         raise

@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import index
 from typing import NamedTuple
@@ -185,23 +185,31 @@ def _upper_system(surface: ToricSurface, rows, m: int, p: int) -> list:
     the t^k coefficient of f along rows and D_d[l] the t^d term of
     df/dx_(l+1): the Taylor expansion, since a product of two upper layers
     lands at t^(2h+2) or above.  The sparse terms of each binomial go
-    straight into its block of m - h equations: a term (d, c) of either side
-    with d > h into b at t^d, one of df/dx_(l+1) into unknown
-    (g - h - 1) e + l at t^(g+d).  Entries are reduced mod p.
+    straight into its equations: a term (d, c) of either side with d > h
+    into b at t^d, one of df/dx_(l+1) into unknown (g - h - 1) e + l at
+    t^(g+d).  An equation is made when a first term lands on it, and it is
+    kept when an entry is nonzero mod p: the others say nothing, and a kept
+    [0 ... 0 | b], b != 0, makes the node inconsistent.  Entries are
+    reduced mod p.  _binomial_series builds no derivative series that
+    truncates to zero, so a node over the origin makes few terms.
     """
     e, h = surface.e, len(rows[0]) - 1
+    width = e * (m - h) + 1
     system = []
     for _, plus, minus, grad in _binomial_series(_sparse_rows(rows), m, surface, m - h - 1):
-        block = [[0] * (e * (m - h) + 1) for _ in range(h, m)]  # block[k - h - 1] is at t^k
+        block = defaultdict(lambda: [0] * width)  # block[k] is the equation at t^k
         for terms, sign in ((plus, -1), (minus, 1)):
             for d, c in terms:
                 if d > h:
-                    block[d - h - 1][-1] += sign * c
+                    block[d][-1] += sign * c
         for l, terms in grad.items():
             for d, c in terms:
                 for g in range(h + 1, m - d + 1):
-                    block[g + d - h - 1][(g - h - 1) * e + l] += c
-        system.extend([x % p for x in row] for row in block)
+                    block[g + d][(g - h - 1) * e + l] += c
+        for row in block.values():
+            row = [x % p for x in row]
+            if any(row):
+                system.append(row)
     return system
 
 
@@ -262,18 +270,33 @@ def _constant_members(surface, field, sliced=False) -> list:
 
 
 @functools.cache
-def _discrete_logs(p: int) -> list:
-    """log[c] for each c in F_p^*, to the least primitive root mod p.  It
-    costs O(p), so only _orbit_weight builds it, once a walk has passed
-    the guard."""
-    for g in range(2, p):
-        log, c = [None] * p, 1
-        for k in range(p - 1):
-            if log[c] is not None:  # g has order k < p-1
-                break
-            log[c], c = k, c * g % p
-        else:
-            return log
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod p, the base of the discrete logs that
+    _orbit_weight reads: the least r with r^((p-1)/q) != 1 for each prime
+    q dividing p-1.  Trial division of p-1 costs O(sqrt p) steps and keeps
+    no table; only a walk node with a lead other than 1 asks for it."""
+    n, rest, primes, q = p - 1, p - 1, [], 2
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        primes.append(rest)
+    return next(r for r in range(2, p) if all(pow(r, n // q, p) != 1 for q in primes))
+
+
+@functools.cache
+def _log_below(c: int, g: int, p: int) -> bool:
+    """True iff the discrete log of c in F_p^* to _primitive_root(p) is
+    below g, read on demand: c is one of r^0, ..., r^(g-1).  At most g - 1
+    modular powers, once per (c, g, p) that a walk meets, so nothing is
+    kept for a lead no node has; the log of 1 is 0, which needs no root."""
+    if c == 1:
+        return True
+    r = _primitive_root(p)
+    return any(pow(r, k, p) == c for k in range(1, g))
 
 
 def _orbit_weight(rows, surface, p: int) -> int:
@@ -289,16 +312,17 @@ def _orbit_weight(rows, surface, p: int) -> int:
     u = (a, b), tau in Z/n, which moves a later row j by tau det(u, u_j).
     With the leftover tau running over the multiples of k, that image is
     the multiples of g = gcd(k det(u, u_j), n), of size n/g: the canonical
-    lead is the one whose log is least in its coset, below g, and the
-    leftover narrows to the multiples of k n/g.  The weight, n times the
-    image sizes, is the orbit size.  A truncation keeps the leads of the
-    rows nonzero at the lower level, and they come first in that order, so
-    the canonical nodes are closed under truncation, as the walk needs.
+    lead is the one whose log is least in its coset, below g (_log_below,
+    no table), and the leftover narrows to the multiples of k n/g.  The
+    weight, n times the image sizes, is the orbit size.  A truncation keeps
+    the leads of the rows nonzero at the lower level, and they come first
+    in that order, so the canonical nodes are closed under truncation, as
+    the walk needs.
     Over F_2 the torus is trivial.
     """
     if p == 2:
         return 1
-    n, log = p - 1, _discrete_logs(p)
+    n = p - 1
     leads = []
     for j, row in enumerate(rows):
         for o, lead in enumerate(row):
@@ -314,7 +338,7 @@ def _orbit_weight(rows, surface, p: int) -> int:
             (a, b), (c, d) = first, surface.basis[j]
             g = math.gcd(k * (a * d - b * c), n)
             k *= n // g
-        if log[lead] >= g:
+        if not _log_below(lead, g, p):
             return 0
         weight *= n // g
     return weight
@@ -524,7 +548,9 @@ def _refuting_counts(surface: ToricSurface, config: OracleConfig, s: int):
             size = math.prod(map(len, a))
             for i in pairs:
                 x, y = a[i - 1], a[i]
-                counts[i] += size // (len(x) * len(y)) * sum(map(bool, x)) * sum(map(bool, y))
+                # a choice is range(p) or (v,): its first value is its only zero
+                nonzero = (len(x) - 1 + bool(x[0])) * (len(y) - 1 + bool(y[0]))
+                counts[i] += size // (len(x) * len(y)) * nonzero
         yield from ((rows, i, count) for i, count in counts.items())
 
 
@@ -562,11 +588,12 @@ def coverage_spot_check(
     profile at a time, never one by one.  A profile has one key
     (i, ord x_i, ord x_{i+1}) per i in 2..e-1, so a dict of valid labels
     buckets it into at most one stratum per i, and the minimum of its finite
-    orders is taken once.  A hit counts its points in that stratum and
-    clears all_orders_ge_s when the minimum is below s.  The prediction
-    (p-1)^2 p^(dim-2) models a stratum as a 2-torus times an affine space;
-    agreement is experimental evidence for the dimension formula, not an
-    identity enforced here.
+    orders is taken once.  One pass over the keys, each with its c_i from
+    surface.entries, tests both the labels and the impossible rule below.
+    A hit counts its points in that stratum and clears all_orders_ge_s
+    when the minimum is below s.  The prediction (p-1)^2 p^(dim-2) models a
+    stratum as a 2-torus times an affine space; agreement is experimental
+    evidence for the dimension formula, not an identity enforced here.
 
     Strata at a fixed i can overlap only through a label listed twice, so
     disjoint is exactly "valid_labels names no label twice".  Closure
@@ -579,27 +606,28 @@ def coverage_spot_check(
     Each is reported with its point count.
     """
     e, m, p = surface.e, config.m, config.characteristic
+    entries = surface.entries  # c_i is entries[i - 2]
     labels = valid_labels(surface, m)
     counts = dict.fromkeys(labels, 0)
     ge = dict.fromkeys(labels, True)
     stratum_points = 0
     impossible = []
     for profile, n in profiles.items():
-        keys = list(zip(range(2, e), profile[1:], profile[2:]))
-        hits = [key for key in keys if key in counts]
         # None only for a deep closure point, all orders above m
         smin = min([o for o in profile if o is not ABOVE_M], default=None)
-        for key in hits:
-            counts[key] += n
-            if smin < key[1]:
-                ge[key] = False
-        if hits:
+        hit = flagged = False
+        for c, key in zip(entries, zip(range(2, e), profile[1:], profile[2:])):
+            if key in counts:
+                hit = True
+                counts[key] += n
+                if smin < key[1]:
+                    ge[key] = False
+            elif (key[1] == smin and key[2] is not ABOVE_M
+                  and key[2] > (c - 1) * smin and c * smin <= m):
+                flagged = True
+        if hit:
             stratum_points += n
-        elif any(
-            oi == smin and on is not ABOVE_M
-            and on > (surface.c(i) - 1) * smin and surface.c(i) * smin <= m
-            for i, oi, on in keys
-        ):
+        elif flagged:
             impossible.append((profile, n))
     strata = tuple(
         StratumStats(

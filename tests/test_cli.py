@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from argparse import Namespace
 from pathlib import Path
 
@@ -606,11 +607,12 @@ def test_verify_guard_flag(capsys):
 
 
 def test_verify_refuses_a_large_field_before_any_table(capsys, monkeypatch):
-    # the oracle's discrete-log table costs O(p), so it is built only once
-    # a walk has passed the guard: a refusal at p = 10^9+7 stays cheap
+    # the oracle's discrete logs are taken to the least primitive root,
+    # found in O(sqrt p) steps once a walk meets a lead other than 1: a
+    # refusal at p = 10^9+7 stays cheap
     built = []
-    real = oracle._discrete_logs
-    monkeypatch.setattr(oracle, "_discrete_logs", lambda p: built.append(p) or real(p))
+    real = oracle._primitive_root
+    monkeypatch.setattr(oracle, "_primitive_root", lambda p: built.append(p) or real(p))
     t0 = time.monotonic()
     code, out, err = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
                                    "--field", "1000000007", "--guard", "1"])
@@ -618,6 +620,23 @@ def test_verify_refuses_a_large_field_before_any_table(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert "raise the guard" in err
     assert built == []
+
+
+def test_verify_reads_discrete_logs_without_a_table(capsys):
+    # past the guard at p = 10^6+3 and m = 1 every walk node leads its rows
+    # with 1, whose log needs no table: an O(p) table would trace 40 MB
+    # here, and some 4 GB at p = 10^8+7
+    tracemalloc.start()
+    try:
+        t0 = time.monotonic()
+        code, out, _ = _run(capsys, ["verify", "--p", "2", "--q", "3", "--m", "1",
+                                     "--field", "1000003", "--guard", str(10 ** 80),
+                                     "--format", "json"])
+        elapsed, (_, peak) = time.monotonic() - t0, tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["result"] == "pass"
+    assert peak < 4 << 20 and elapsed < 2.0
 
 
 def test_verify_rejects_composite_field(capsys):

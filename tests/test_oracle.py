@@ -918,18 +918,25 @@ def test_profile_counts_charge_the_full_space():
     assert exc.value.required == 3 ** 16
 
 
-def test_coverage_reports_impossible_profiles_with_point_counts():
-    surf = ToricSurface.from_pair(3, 5)
-    cfg = OracleConfig(2, 2)
+# (2,5) has entries (c_2, c_3) = (3, 2), which differ: the profile at
+# i = e-1 is impossible with c_3 = 2 but not with c_2 = 3, so an entry
+# read one place off, or a key left unread, fails a case
+@pytest.mark.parametrize("bad", [
+    # ord x2 = 1 = the minimum, ord x3 = 3 > (c_2 - 1) * 1, c_2 * 1 <= m
+    (ABOVE_M, 1, 3, ABOVE_M),
+    # ord x3 = 1 = the minimum, ord x4 = 2 > (c_3 - 1) * 1, c_3 * 1 <= m
+    (ABOVE_M, ABOVE_M, 1, 2),
+], ids=["i=2", "i=e-1"])
+def test_coverage_reports_impossible_profiles_with_point_counts(bad):
+    surf = ToricSurface.from_pair(2, 5)
+    cfg = OracleConfig(2, 3)
     profiles = oracle.fiber_profiles(surf, cfg)
-    # ord x2 = 1 = the minimum, ord x3 = 2 > (c_2 - 1) * 1, c_2 * 1 <= m
-    bad = (ABOVE_M, 1, 2, ABOVE_M)
     assert bad not in profiles
     profiles[bad] = 3
     cov = coverage_spot_check(surf, cfg, profiles)
     assert cov.impossible_profiles == ((bad, 3),)
-    assert cov.total_points == 99
-    assert cov.closure_points == 59
+    assert cov.total_points == 515
+    assert cov.closure_points == 291
 
 
 def _coverage(surf, cfg):
